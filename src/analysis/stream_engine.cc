@@ -88,7 +88,7 @@ void StreamingRowPass::Consume(std::int64_t day, const TraceRowBlock& block) {
   }
 }
 
-FusedRowPassResult StreamingRowPass::TakeResult() { return std::move(out_); }
+RowPassResult StreamingRowPass::TakeResult() { return std::move(out_); }
 
 std::vector<std::uint8_t> StreamingRowPass::TakeMobility() {
   return std::move(mobility_);
@@ -207,7 +207,7 @@ void StreamingPerUserPass::Consume(const TraceRowBlock& block) {
   }
 }
 
-FusedPerUserResult StreamingPerUserPass::Finish(ThreadPool& pool) {
+PerUserResult StreamingPerUserPass::Finish(ThreadPool& pool) {
   const std::size_t n_users = user_ids_.size();
   const auto uid = user_ids_;
 
@@ -237,7 +237,7 @@ FusedPerUserResult StreamingPerUserPass::Finish(ThreadPool& pool) {
                           },
                       });
 
-  FusedPerUserResult out;
+  PerUserResult out;
   out.usage = std::move(usage_);
   std::size_t n_mobile_users = 0;
   std::size_t n_device_ids = 0;

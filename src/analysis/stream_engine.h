@@ -1,37 +1,86 @@
-// Streaming (partition-at-a-time) analysis cores.
+// Streaming (block-at-a-time) analysis cores.
 //
-// These two classes are the fused engine's row-order walks (see
-// analysis/fused_engine.h) factored into incremental consumers of
-// TraceRowBlock slices. Per-user state lives in dense arrays keyed by the
-// *global* uint32 user remap and survives across blocks and calendar-day
-// partitions, so feeding the blocks of an out-of-core PartitionedTrace::Scan
-// produces bit-identical results to feeding one resident TraceStore whole —
-// the resident FusedRowPass/FusedPerUserPass are now thin wrappers that do
-// exactly that. The only requirement is that blocks arrive in global row
-// (= time) order, which both sources guarantee.
+// The AoS pipeline's first-touch stages — sessionizer, usage_patterns,
+// engagement inputs, interval_model sampling, the §2.2 overview counts —
+// each re-scan the trace and rediscover per-user structure through
+// unordered_map probes on sparse 64-bit user ids. Over columnar rows they
+// collapse into two incremental consumers of TraceRowBlock slices:
+//
+//   * StreamingRowPass — row (= time) order over the mobile rows: the Fig 1
+//     hourly series, the Fig 3 inter-op interval sample (a dense per-user
+//     last-op array instead of a hash map) and the overview's record
+//     counts. Row order preserves the AoS floating-point accumulation order
+//     exactly.
+//   * StreamingPerUserPass — row order with dense per-user cursor arrays:
+//     both sessionizations (full trace and mobile slice), both per-user
+//     usage tables and the distinct-device count. Within one user, row
+//     order equals run order, so every cursor folds the exact record
+//     sequence the AoS sessionizer sees; a final sort by (user, begin) —
+//     the same sort the AoS path ends with, over unique keys — restores the
+//     canonical order.
+//
+// Per-user state is keyed by the *global* uint32 user remap and survives
+// across blocks and calendar-day partitions, so feeding a resident
+// TraceStore's day partitions and feeding an out-of-core
+// PartitionedTrace::Scan produce bit-identical results. The only
+// requirement is that blocks arrive in global row (= time) order, which
+// both sources guarantee.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
-#include "analysis/fused_engine.h"
+#include "analysis/interval_model.h"
 #include "analysis/sessionizer.h"
 #include "analysis/usage_patterns.h"
+#include "analysis/workload_timeseries.h"
 #include "trace/partitioned_trace.h"
 #include "util/parallel.h"
 
 namespace mcloud::analysis {
+
+/// Row-order results: Fig 1 series, Fig 3 sketch, §2.2 counts.
+struct RowPassResult {
+  WorkloadTimeseries timeseries;
+  /// Inter-file-operation gaps of mobile users as the jitter-binned log10
+  /// sketch — the exact sketch AddInterOpIntervalsToSketch(mobile view)
+  /// builds, and mergeable across trace slices (the jitter is a stateless
+  /// hash of (user, timestamp) and per-bin sums are integer-exact).
+  LogBins intervals = MakeIntervalSketch();
+  std::size_t mobile_records = 0;
+  std::size_t android_records = 0;
+};
+
+/// Per-user results: sessions, usage tables, device/user counts.
+struct PerUserResult {
+  /// Sessions over the full trace, in (user_id, begin) order.
+  std::vector<Session> sessions;
+  /// Sessions over the mobile rows only, in (user_id, begin) order.
+  std::vector<Session> mobile_sessions;
+  /// Per-user usage over the full trace, ascending user_id (one entry per
+  /// user — every user has at least one record).
+  std::vector<UserUsage> usage;
+  /// Per-user usage over the mobile rows only, ascending user_id (users
+  /// with no mobile record are absent).
+  std::vector<UserUsage> mobile_usage;
+  std::size_t mobile_users = 0;    ///< users with >= 1 mobile record
+  std::size_t mobile_devices = 0;  ///< distinct mobile device ids
+  /// The distinct mobile device ids themselves, sorted ascending — lets the
+  /// concurrent pipeline union device sets across independently analyzed
+  /// trace slices (a count alone cannot be merged).
+  std::vector<std::uint64_t> mobile_device_ids;
+};
 
 /// Per-user mobility classes, accumulated as rows stream by.
 inline constexpr std::uint8_t kMobileBit = 1;
 inline constexpr std::uint8_t kPcBit = 2;
 inline constexpr std::uint8_t kMixedMobility = kMobileBit | kPcBit;
 
-/// Walk 1: hourly series, inter-op interval sample, overview counts — and,
-/// as a free by-product, each user's mobility class (the out-of-core path
-/// cannot afford the resident engine's dedicated mobility pre-pass, so this
-/// walk collects it for walk 2).
+/// Hourly series, inter-op interval sample, overview counts — and, as a
+/// free by-product, each user's mobility class (a second walk's
+/// StreamingPerUserPass takes it when τ is derived from this walk's
+/// interval sample).
 class StreamingRowPass {
  public:
   /// `user_ids` maps global dense index -> original id (the interval
@@ -46,8 +95,8 @@ class StreamingRowPass {
   /// blocks must arrive in global time order.
   void Consume(std::int64_t day, const TraceRowBlock& block);
 
-  /// The fused row-pass result (call once, after the last block).
-  [[nodiscard]] FusedRowPassResult TakeResult();
+  /// The row-pass result (call once, after the last block).
+  [[nodiscard]] RowPassResult TakeResult();
   /// Per-user mobility classes (kMobileBit/kPcBit), for StreamingPerUserPass.
   [[nodiscard]] std::vector<std::uint8_t> TakeMobility();
 
@@ -57,16 +106,17 @@ class StreamingRowPass {
   UnixSeconds trace_start_;
   std::int64_t window_begin_;
   std::int64_t window_end_;
-  FusedRowPassResult out_;
+  RowPassResult out_;
   std::vector<std::int64_t> last_op_;
   std::vector<std::uint8_t> seen_;
   std::vector<std::uint8_t> mobility_;
 };
 
-/// Walk 2: both sessionizations (full trace and mobile slice), both
-/// per-user usage tables, distinct-device counts. Needs the session gap
-/// threshold `tau` — fitted from walk 1's interval sample — and the
-/// mobility classes, so it necessarily runs as a second pass.
+/// Both sessionizations (full trace and mobile slice), both per-user usage
+/// tables, distinct-device counts. Needs the session gap threshold `tau`;
+/// with a mobility table from a finished row pass it folds only what each
+/// user's class needs, without one it runs in inline-mobility mode and can
+/// share the row pass's walk.
 class StreamingPerUserPass {
  public:
   /// `user_ids` maps global dense index -> original id and must outlive the
@@ -89,7 +139,7 @@ class StreamingPerUserPass {
 
   /// Flush open sessions, restore canonical (user, begin) order, assemble
   /// the result. Call once, after the last block.
-  [[nodiscard]] FusedPerUserResult Finish(ThreadPool& pool);
+  [[nodiscard]] PerUserResult Finish(ThreadPool& pool);
 
  private:
   /// Open-session state for one user — the columnar twin of

@@ -7,11 +7,11 @@
 #include <exception>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <unordered_set>
 #include <utility>
 
-#include "analysis/fused_engine.h"
 #include "analysis/sessionizer.h"
 #include "analysis/stream_engine.h"
 #include "trace/filters.h"
@@ -135,6 +135,137 @@ void RunSharedStages(ThreadPool& pool, const PipelineOptions& options,
   fits_s += t_store_fit + t_retrieve_fit + t_activity;
 }
 
+/// A row source the walk driver can replay: every call of `replay(sink)`
+/// feeds all rows to `sink` in global time order, as blocks that each lie
+/// inside one calendar day relative to `day_base`, with dense user indices
+/// into `user_ids`.
+struct RowSource {
+  std::span<const std::uint64_t> user_ids;
+  UnixSeconds day_base = 0;
+  std::size_t rows = 0;
+  std::function<void(const PartitionedTrace::BlockSink&)> replay;
+};
+
+RowSource SourceOf(const TraceStore& store) {
+  MCLOUD_REQUIRE(store.has(kAnalysisColumns),
+                 "the analysis needs the analysis columns");
+  return {store.user_ids(), store.day_base(), store.rows(),
+          [&store](const PartitionedTrace::BlockSink& sink) {
+            for (const TraceStore::DayPartition& part : store.day_partitions())
+              sink(part.day, BlockOf(store, part.begin, part.end));
+          }};
+}
+
+RowSource SourceOf(const PartitionedTrace& trace, std::size_t max_memory_mb) {
+  // Staging budget in rows: a staged row costs ~31 bytes across the seven
+  // analysis columns; give the scan an eighth of the budget so the dense
+  // per-user state and the session output stay the dominant terms.
+  const std::size_t budget_mb = max_memory_mb ? max_memory_mb : 1024;
+  const std::size_t staging_rows = std::max<std::size_t>(
+      std::size_t{64} * 1024, budget_mb * (1024 * 1024 / 8) / 32);
+  return {trace.user_ids(), trace.day_base(),
+          static_cast<std::size_t>(trace.rows()),
+          [&trace, staging_rows](const PartitionedTrace::BlockSink& sink) {
+            trace.Scan(staging_rows, sink);
+          }};
+}
+
+/// What the walks hand the shared tail.
+struct Walked {
+  analysis::RowPassResult row;
+  analysis::PerUserResult per_user;
+  /// Fitted between the walks when τ is derived from the data (the tail
+  /// fits it otherwise).
+  std::optional<analysis::IntervalModel> interval_model;
+};
+
+/// The walk plan, the same for every source. A fixed τ needs one walk: the
+/// row pass and the inline-mobility per-user pass consume each block
+/// together. The valley-derived τ gates sessionization on the completed
+/// interval sketch, so walk 1 runs the row pass (which also collects
+/// mobility), τ is fitted, and walk 2 runs the per-user pass with that
+/// mobility. Block boundaries never change an accumulation order, so every
+/// source and plan yields the same bits.
+Walked Walk(const PipelineOptions& options, const RowSource& src,
+            ThreadPool& pool, StageTimings& t) {
+  Walked w;
+  auto t0 = Clock::now();
+  analysis::StreamingRowPass row_pass(src.user_ids, options.trace_start,
+                                      options.days, src.day_base);
+  std::optional<analysis::StreamingPerUserPass> per_user_pass;
+  if (options.session_tau > 0) {
+    per_user_pass.emplace(src.user_ids, options.session_tau);
+    src.replay([&](std::int64_t day, const TraceRowBlock& block) {
+      row_pass.Consume(day, block);
+      per_user_pass->Consume(block);
+    });
+  } else {
+    src.replay([&](std::int64_t day, const TraceRowBlock& block) {
+      row_pass.Consume(day, block);
+    });
+  }
+  w.row = row_pass.TakeResult();
+  t.scan_s += Since(t0);
+
+  if (!per_user_pass) {
+    t0 = Clock::now();
+    w.interval_model = analysis::FitIntervalModel(w.row.intervals);
+    t.fits_s += Since(t0);
+    t0 = Clock::now();
+    per_user_pass.emplace(src.user_ids, w.interval_model->valley_tau,
+                          row_pass.TakeMobility());
+    src.replay([&](std::int64_t, const TraceRowBlock& block) {
+      per_user_pass->Consume(block);
+    });
+    t.sessionize_s += Since(t0);
+  }
+  t0 = Clock::now();
+  w.per_user = per_user_pass->Finish(pool);
+  t.sessionize_s += Since(t0);
+  return w;
+}
+
+/// The tail every engine but RunAos shares: overview fields, the interval
+/// model, then the per-user stages.
+FullReport Tail(const PipelineOptions& options, std::size_t records,
+                Walked w, ThreadPool& pool, StageTimings& t) {
+  FullReport report;
+  report.records = records;
+  report.timeseries = std::move(w.row.timeseries);
+  report.android_access_share =
+      w.row.mobile_records == 0
+          ? 0
+          : static_cast<double>(w.row.android_records) /
+                static_cast<double>(w.row.mobile_records);
+  const auto t0 = Clock::now();
+  report.interval_model = w.interval_model
+                              ? *std::move(w.interval_model)
+                              : analysis::FitIntervalModel(w.row.intervals);
+  report.sketches.intervals = std::move(w.row.intervals);
+  t.fits_s += Since(t0);
+  report.mobile_users = w.per_user.mobile_users;
+  report.mobile_devices = w.per_user.mobile_devices;
+
+  RunSharedStages(pool, options, w.per_user.usage, w.per_user.mobile_usage,
+                  w.per_user.sessions, w.per_user.mobile_sessions, report,
+                  t.per_user_s, t.fits_s);
+  return report;
+}
+
+/// The walk driver behind Run(store) and RunStreaming.
+FullReport Drive(const PipelineOptions& options, const RowSource& src,
+                 StageTimings* timings) {
+  MCLOUD_REQUIRE(src.rows > 0, "empty trace");
+  const auto t_total = Clock::now();
+  StageTimings t;
+  ThreadPool pool(ClampThreadsToHardware(options.threads));
+  FullReport report =
+      Tail(options, src.rows, Walk(options, src, pool, t), pool, t);
+  t.total_s = Since(t_total);
+  if (timings) *timings = t;
+  return report;
+}
+
 }  // namespace
 
 AnalysisPipeline::AnalysisPipeline(const PipelineOptions& options)
@@ -149,123 +280,15 @@ FullReport AnalysisPipeline::Run(std::span<const LogRecord> trace,
   return Run(store, timings);
 }
 
-// The columnar engine: two fused passes over the store's indexes replace
-// the AoS engine's six first-touch scans, then the shared stages run on
-// the pool. See analysis/fused_engine.h for why each pass reproduces the
-// AoS accumulation order exactly.
 FullReport AnalysisPipeline::Run(const TraceStore& store,
                                  StageTimings* timings) const {
   MCLOUD_REQUIRE(!store.empty(), "empty trace");
-  const auto t_total = Clock::now();
-  StageTimings t;
-  ThreadPool pool(ClampThreadsToHardware(options_.threads));
-  FullReport report;
-  report.records = store.rows();
-
-  // Row-order pass: Fig 1 series, Fig 3 sample, §2.2 record counts.
-  auto t0 = Clock::now();
-  analysis::FusedRowPassResult row =
-      analysis::FusedRowPass(store, options_.trace_start, options_.days);
-  t.scan_s += Since(t0);
-  report.timeseries = std::move(row.timeseries);
-  report.android_access_share =
-      row.mobile_records == 0
-          ? 0
-          : static_cast<double>(row.android_records) /
-                static_cast<double>(row.mobile_records);
-
-  t0 = Clock::now();
-  report.interval_model = analysis::FitIntervalModel(row.intervals);
-  report.sketches.intervals = std::move(row.intervals);
-  t.fits_s += Since(t0);
-  const Seconds tau = options_.session_tau > 0
-                          ? options_.session_tau
-                          : report.interval_model.valley_tau;
-
-  // Per-user-run pass: both sessionizations + both usage tables, fused.
-  t0 = Clock::now();
-  analysis::FusedPerUserResult per_user =
-      analysis::FusedPerUserPass(store, tau, pool);
-  t.sessionize_s += Since(t0);
-  report.mobile_users = per_user.mobile_users;
-  report.mobile_devices = per_user.mobile_devices;
-
-  RunSharedStages(pool, options_, per_user.usage, per_user.mobile_usage,
-                  per_user.sessions, per_user.mobile_sessions, report,
-                  t.per_user_s, t.fits_s);
-  t.total_s = Since(t_total);
-  if (timings) *timings = t;
-  return report;
+  return Drive(options_, SourceOf(store), timings);
 }
 
-// The out-of-core engine: the same two fused walks as Run(const
-// TraceStore&), but each walk is a PartitionedTrace::Scan that streams one
-// calendar-day partition at a time through the shared streaming cores —
-// only the bounded staging block and the dense per-user state are resident.
-// Walk 1 additionally collects per-user mobility (the resident engine's
-// dedicated pre-pass would cost a third full disk scan here), walk 2 runs
-// once τ is fitted. Block boundaries never change any accumulation order,
-// so the report is bit-identical to the resident engines.
-FullReport AnalysisPipeline::RunOutOfCore(const PartitionedTrace& trace,
+FullReport AnalysisPipeline::RunStreaming(const PartitionedTrace& trace,
                                           StageTimings* timings) const {
-  MCLOUD_REQUIRE(trace.rows() > 0, "empty trace");
-  const auto t_total = Clock::now();
-  StageTimings t;
-  ThreadPool pool(ClampThreadsToHardware(options_.threads));
-  FullReport report;
-  report.records = static_cast<std::size_t>(trace.rows());
-
-  // Staging budget in rows: a staged row costs ~31 bytes across the seven
-  // analysis columns; give the scan an eighth of the budget so the dense
-  // per-user state and the session output stay the dominant terms.
-  const std::size_t budget_mb =
-      options_.max_memory_mb ? options_.max_memory_mb : 1024;
-  const std::size_t staging_rows = std::max<std::size_t>(
-      std::size_t{64} * 1024, budget_mb * (1024 * 1024 / 8) / 32);
-
-  // Walk 1 (row order): Fig 1 series, Fig 3 sample, §2.2 counts, mobility.
-  auto t0 = Clock::now();
-  analysis::StreamingRowPass row_pass(trace.user_ids(), options_.trace_start,
-                                      options_.days, trace.day_base());
-  trace.Scan(staging_rows, [&](std::int64_t day, const TraceRowBlock& block) {
-    row_pass.Consume(day, block);
-  });
-  analysis::FusedRowPassResult row = row_pass.TakeResult();
-  std::vector<std::uint8_t> mobility = row_pass.TakeMobility();
-  t.scan_s += Since(t0);
-  report.timeseries = std::move(row.timeseries);
-  report.android_access_share =
-      row.mobile_records == 0
-          ? 0
-          : static_cast<double>(row.android_records) /
-                static_cast<double>(row.mobile_records);
-
-  t0 = Clock::now();
-  report.interval_model = analysis::FitIntervalModel(row.intervals);
-  report.sketches.intervals = std::move(row.intervals);
-  t.fits_s += Since(t0);
-  const Seconds tau = options_.session_tau > 0
-                          ? options_.session_tau
-                          : report.interval_model.valley_tau;
-
-  // Walk 2 (row order, needs τ): both sessionizations + both usage tables.
-  t0 = Clock::now();
-  analysis::StreamingPerUserPass per_user_pass(trace.user_ids(), tau,
-                                               std::move(mobility));
-  trace.Scan(staging_rows, [&](std::int64_t, const TraceRowBlock& block) {
-    per_user_pass.Consume(block);
-  });
-  analysis::FusedPerUserResult per_user = per_user_pass.Finish(pool);
-  t.sessionize_s += Since(t0);
-  report.mobile_users = per_user.mobile_users;
-  report.mobile_devices = per_user.mobile_devices;
-
-  RunSharedStages(pool, options_, per_user.usage, per_user.mobile_usage,
-                  per_user.sessions, per_user.mobile_sessions, report,
-                  t.per_user_s, t.fits_s);
-  t.total_s = Since(t_total);
-  if (timings) *timings = t;
-  return report;
+  return Drive(options_, SourceOf(trace, options_.max_memory_mb), timings);
 }
 
 // The legacy AoS engine. The §3 analyses form a small dependency DAG:
@@ -386,78 +409,16 @@ FullReport AnalysisPipeline::RunAos(std::span<const LogRecord> trace,
   return report;
 }
 
-// The single-walk out-of-core engine: both streaming passes ride the same
-// Scan. The per-user pass runs in inline-mobility mode — it speculatively
-// folds every user's mobile rows and discards the mobile-only users'
-// speculative results at Finish, which is provably the same output as the
-// two-walk form (see stream_engine.h) — so nothing gates walk 2 on walk 1
-// and one disk pass suffices.
-FullReport AnalysisPipeline::RunStreaming(const PartitionedTrace& trace,
-                                          StageTimings* timings) const {
-  MCLOUD_REQUIRE(trace.rows() > 0, "empty trace");
-  MCLOUD_REQUIRE(options_.session_tau > 0,
-                 "the single-walk engine needs a fixed session tau: the "
-                 "valley-derived tau would gate sessionization on the "
-                 "completed interval sketch");
-  const auto t_total = Clock::now();
-  StageTimings t;
-  ThreadPool pool(ClampThreadsToHardware(options_.threads));
-  FullReport report;
-  report.records = static_cast<std::size_t>(trace.rows());
-
-  const std::size_t budget_mb =
-      options_.max_memory_mb ? options_.max_memory_mb : 1024;
-  const std::size_t staging_rows = std::max<std::size_t>(
-      std::size_t{64} * 1024, budget_mb * (1024 * 1024 / 8) / 32);
-
-  auto t0 = Clock::now();
-  analysis::StreamingRowPass row_pass(trace.user_ids(), options_.trace_start,
-                                      options_.days, trace.day_base());
-  analysis::StreamingPerUserPass per_user_pass(trace.user_ids(),
-                                               options_.session_tau);
-  trace.Scan(staging_rows, [&](std::int64_t day, const TraceRowBlock& block) {
-    row_pass.Consume(day, block);
-    per_user_pass.Consume(block);
-  });
-  analysis::FusedRowPassResult row = row_pass.TakeResult();
-  t.scan_s += Since(t0);
-  report.timeseries = std::move(row.timeseries);
-  report.android_access_share =
-      row.mobile_records == 0
-          ? 0
-          : static_cast<double>(row.android_records) /
-                static_cast<double>(row.mobile_records);
-
-  t0 = Clock::now();
-  report.interval_model = analysis::FitIntervalModel(row.intervals);
-  report.sketches.intervals = std::move(row.intervals);
-  t.fits_s += Since(t0);
-
-  t0 = Clock::now();
-  analysis::FusedPerUserResult per_user = per_user_pass.Finish(pool);
-  t.sessionize_s += Since(t0);
-  report.mobile_users = per_user.mobile_users;
-  report.mobile_devices = per_user.mobile_devices;
-
-  RunSharedStages(pool, options_, per_user.usage, per_user.mobile_usage,
-                  per_user.sessions, per_user.mobile_sessions, report,
-                  t.per_user_s, t.fits_s);
-  t.total_s = Since(t_total);
-  if (timings) *timings = t;
-  return report;
-}
-
 // The analyze-while-generate engine. The producer (typically
 // GenerateToPartitions' spill path) hands over sealed columnar slices
-// through a depth-1 bounded queue; a consumer thread drives the same
-// streaming cores RunStreaming uses directly over the slice's columns
-// (no transpose — the producer already emits SoA) while the producer
-// builds the next one. Because every
-// slice is time-sorted and carries a contiguous ascending user range's
-// complete history, per-slice results are already in canonical order and
+// through a depth-1 bounded queue; a consumer thread moves each slice's
+// analysis columns into a TraceStore and walks it with the same driver
+// while the producer builds the next one. Because every slice is
+// time-sorted and carries a contiguous ascending user range's complete
+// history, per-slice results are already in canonical order and
 // concatenate (sessions/usage) or sum (hour bins, interval sketch, counts)
-// into exactly the inputs the resident engine hands RunSharedStages — so
-// the report is bit-identical to Run on the concatenated trace.
+// into exactly the inputs the one-store walk hands the tail — so the
+// report is bit-identical to Run on the concatenated trace.
 FullReport AnalysisPipeline::RunConcurrent(
     const std::function<void(const SliceConsumer&)>& produce,
     StageTimings* timings) const {
@@ -466,14 +427,11 @@ FullReport AnalysisPipeline::RunConcurrent(
                  "valley-derived tau is only known after the last slice");
   const auto t_total = Clock::now();
   StageTimings t;
-  FullReport report;
 
   // State below the line is owned by the consumer thread until join().
-  analysis::FusedRowPassResult row;
-  analysis::FusedPerUserResult per_user;
+  Walked acc;
   std::size_t records = 0;
-  double slice_scan_s = 0;
-  double slice_sessionize_s = 0;
+  StageTimings slice_t;
   std::exception_ptr consumer_error;
 
   // Depth-1 queue: one slice being analyzed, one being generated. The
@@ -489,11 +447,6 @@ FullReport AnalysisPipeline::RunConcurrent(
     // Finish's canonical sorts run inline here: ThreadPool::Run must not be
     // entered from two threads, and the caller owns the real pool.
     ThreadPool slice_pool(1);
-    // The slice already is structure-of-arrays — its columns feed the
-    // streaming cores directly. The only per-slice staging is the dense
-    // user remap (reused across slices).
-    std::vector<std::uint32_t> users;
-    std::vector<std::uint64_t> user_ids;
     for (;;) {
       RecordColumns slice;
       {
@@ -508,94 +461,55 @@ FullReport AnalysisPipeline::RunConcurrent(
       // After a failure, keep draining so the producer never deadlocks.
       if (slice.empty() || consumer_error) continue;
       try {
-        auto t0 = Clock::now();
-        const std::size_t n = slice.size();
-        // Slice-local dense user remap (ascending original ids) — the same
-        // remap TraceStore would build, scoped to this slice's users.
-        user_ids = slice.user_ids;
-        std::sort(user_ids.begin(), user_ids.end());
-        user_ids.erase(std::unique(user_ids.begin(), user_ids.end()),
-                       user_ids.end());
-        users.resize(n);
-        for (std::size_t i = 0; i < n; ++i) {
-          users[i] = static_cast<std::uint32_t>(
-              std::lower_bound(user_ids.begin(), user_ids.end(),
-                               slice.user_ids[i]) -
-              user_ids.begin());
-        }
+        // The slice already is structure-of-arrays: its analysis columns
+        // move into the store, which assigns the slice-local dense user
+        // remap; the other columns are released with the slice.
+        const auto t0 = Clock::now();
+        TraceStore::Builder b;
+        b.present = kAnalysisColumns;
+        b.day_base = options_.trace_start;
+        b.timestamps = std::move(slice.timestamps);
+        b.device_types = std::move(slice.device_types);
+        b.device_ids = std::move(slice.device_ids);
+        b.raw_users = std::move(slice.user_ids);
+        b.request_types = std::move(slice.request_types);
+        b.directions = std::move(slice.directions);
+        b.data_volumes = std::move(slice.data_volumes);
+        slice = RecordColumns();
+        const TraceStore store = std::move(b).Build();
+        slice_t.scan_s += Since(t0);
+        Walked w = Walk(options_, SourceOf(store), slice_pool, slice_t);
 
-        analysis::StreamingRowPass row_pass(user_ids, options_.trace_start,
-                                            options_.days,
-                                            options_.trace_start);
-        analysis::StreamingPerUserPass per_user_pass(user_ids,
-                                                     options_.session_tau);
-        // Feed calendar-day segments (StreamingRowPass's Consume contract;
-        // the per-user pass ignores day boundaries).
-        const auto day_of = [&](std::int64_t t) {
-          const std::int64_t rel = t - options_.trace_start;
-          return rel >= 0 ? rel / kDay : -((-rel + kDay - 1) / kDay);
-        };
-        const std::span<const std::int64_t> ts = slice.timestamps;
-        std::size_t begin = 0;
-        while (begin < n) {
-          const std::int64_t day = day_of(ts[begin]);
-          std::size_t end = begin + 1;
-          while (end < n && day_of(ts[end]) == day) ++end;
-          const std::size_t len = end - begin;
-          const TraceRowBlock block{
-              ts.subspan(begin, len),
-              std::span<const std::uint8_t>(slice.device_types)
-                  .subspan(begin, len),
-              std::span<const std::uint64_t>(slice.device_ids)
-                  .subspan(begin, len),
-              std::span<const std::uint32_t>(users).subspan(begin, len),
-              std::span<const std::uint8_t>(slice.request_types)
-                  .subspan(begin, len),
-              std::span<const std::uint8_t>(slice.directions)
-                  .subspan(begin, len),
-              std::span<const std::uint64_t>(slice.data_volumes)
-                  .subspan(begin, len)};
-          row_pass.Consume(day, block);
-          per_user_pass.Consume(block);
-          begin = end;
-        }
-        slice = RecordColumns();  // release before Finish's sorts peak
-        analysis::FusedRowPassResult r = row_pass.TakeResult();
-        slice_scan_s += Since(t0);
-        t0 = Clock::now();
-        analysis::FusedPerUserResult p = per_user_pass.Finish(slice_pool);
-        slice_sessionize_s += Since(t0);
-
-        records += n;
-        if (row.timeseries.hours.empty()) {
-          row.timeseries = std::move(r.timeseries);
+        records += store.rows();
+        auto& hours = acc.row.timeseries.hours;
+        if (hours.empty()) {
+          acc.row.timeseries = std::move(w.row.timeseries);
         } else {
-          MCLOUD_REQUIRE(
-              row.timeseries.hours.size() == r.timeseries.hours.size(),
-              "slice hour windows disagree");
-          for (std::size_t i = 0; i < row.timeseries.hours.size(); ++i) {
-            auto& dst = row.timeseries.hours[i];
-            const auto& src = r.timeseries.hours[i];
-            dst.store_volume_bytes += src.store_volume_bytes;
-            dst.retrieve_volume_bytes += src.retrieve_volume_bytes;
-            dst.stored_files += src.stored_files;
-            dst.retrieved_files += src.retrieved_files;
+          MCLOUD_REQUIRE(hours.size() == w.row.timeseries.hours.size(),
+                         "slice hour windows disagree");
+          for (std::size_t i = 0; i < hours.size(); ++i) {
+            const auto& src = w.row.timeseries.hours[i];
+            hours[i].store_volume_bytes += src.store_volume_bytes;
+            hours[i].retrieve_volume_bytes += src.retrieve_volume_bytes;
+            hours[i].stored_files += src.stored_files;
+            hours[i].retrieved_files += src.retrieved_files;
           }
         }
-        row.intervals.Merge(r.intervals);
-        row.mobile_records += r.mobile_records;
-        row.android_records += r.android_records;
+        acc.row.intervals.Merge(w.row.intervals);
+        acc.row.mobile_records += w.row.mobile_records;
+        acc.row.android_records += w.row.android_records;
 
         auto append = [](auto& dst, auto& src) {
           dst.insert(dst.end(), std::make_move_iterator(src.begin()),
                      std::make_move_iterator(src.end()));
         };
-        append(per_user.sessions, p.sessions);
-        append(per_user.mobile_sessions, p.mobile_sessions);
-        append(per_user.usage, p.usage);
-        append(per_user.mobile_usage, p.mobile_usage);
-        append(per_user.mobile_device_ids, p.mobile_device_ids);
-        per_user.mobile_users += p.mobile_users;
+        analysis::PerUserResult& p = acc.per_user;
+        append(p.sessions, w.per_user.sessions);
+        append(p.mobile_sessions, w.per_user.mobile_sessions);
+        append(p.usage, w.per_user.usage);
+        append(p.mobile_usage, w.per_user.mobile_usage);
+        append(p.mobile_device_ids, w.per_user.mobile_device_ids);
+        p.mobile_users += w.per_user.mobile_users;
       } catch (...) {
         consumer_error = std::current_exception();
       }
@@ -610,53 +524,35 @@ FullReport AnalysisPipeline::RunConcurrent(
     lock.unlock();
     cv.notify_all();
   };
-  try {
-    produce(sink);
-  } catch (...) {
+  const auto stop_consumer = [&] {
     {
       std::lock_guard<std::mutex> lock(mu);
       done = true;
     }
     cv.notify_all();
     consumer.join();
+  };
+  try {
+    produce(sink);
+  } catch (...) {
+    stop_consumer();
     throw;
   }
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    done = true;
-  }
-  cv.notify_all();
-  consumer.join();
+  stop_consumer();
   if (consumer_error) std::rethrow_exception(consumer_error);
   MCLOUD_REQUIRE(records > 0, "empty trace");
-  t.scan_s += slice_scan_s;
-  t.sessionize_s += slice_sessionize_s;
-
-  ThreadPool pool(ClampThreadsToHardware(options_.threads));
-  report.records = records;
-  report.timeseries = std::move(row.timeseries);
-  report.android_access_share =
-      row.mobile_records == 0
-          ? 0
-          : static_cast<double>(row.android_records) /
-                static_cast<double>(row.mobile_records);
-
-  auto t0 = Clock::now();
-  report.interval_model = analysis::FitIntervalModel(row.intervals);
-  report.sketches.intervals = std::move(row.intervals);
-  t.fits_s += Since(t0);
+  t.scan_s += slice_t.scan_s;
+  t.sessionize_s += slice_t.sessionize_s;
 
   // Device ids can recur across slices (a device id is only distinct per
   // user within a slice): union them for the global distinct count.
-  auto& ids = per_user.mobile_device_ids;
+  auto& ids = acc.per_user.mobile_device_ids;
   std::sort(ids.begin(), ids.end());
   ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-  report.mobile_users = per_user.mobile_users;
-  report.mobile_devices = ids.size();
+  acc.per_user.mobile_devices = ids.size();
 
-  RunSharedStages(pool, options_, per_user.usage, per_user.mobile_usage,
-                  per_user.sessions, per_user.mobile_sessions, report,
-                  t.per_user_s, t.fits_s);
+  ThreadPool pool(ClampThreadsToHardware(options_.threads));
+  FullReport report = Tail(options_, records, std::move(acc), pool, t);
   t.total_s = Since(t_total);
   if (timings) *timings = t;
   return report;

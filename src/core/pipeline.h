@@ -2,15 +2,16 @@
 // FullReport out. This is the primary public entry point of the library for
 // log-analysis consumers (see examples/quickstart.cpp).
 //
-// Two engines produce the same FullReport, bit for bit:
-//   * Run(const TraceStore&) — the columnar engine: fused row-order and
-//     per-user-run passes over the structure-of-arrays store (see
-//     analysis/fused_engine.h), then the shared fit/aggregation stages.
-//   * RunAos(span) — the legacy engine: per-stage scans over the AoS
-//     LogRecord array. Kept as the equivalence baseline and for callers
-//     that cannot build a store.
-// Run(span) is a thin adapter: it builds a TraceStore and runs the columnar
-// engine.
+// Every entry point but RunAos drives the same two streaming cores
+// (analysis/stream_engine.h) through one private walk driver over a row
+// source — a resident TraceStore (its day partitions), a PartitionedTrace
+// (its Scan) or, in RunConcurrent, one TraceStore per generated slice —
+// followed by one shared tail of fits and per-user stages. Only
+// `session_tau` picks the walk plan: a fixed τ needs one walk over the
+// rows, the valley-derived τ (0) needs two, because sessionization waits
+// for the completed interval sketch. RunAos is the legacy per-stage engine
+// over the AoS records, kept as the equivalence baseline. All engines
+// produce the same FullReport, bit for bit.
 #pragma once
 
 #include <cstddef>
@@ -47,10 +48,12 @@ struct PipelineOptions {
 /// Wall-clock seconds spent per stage family, for the bench breakdowns.
 /// Stages run concurrently, so the fields can sum to more than `total_s`.
 struct StageTimings {
-  /// Row-order scans: hourly series, interval sample, overview counts.
+  /// The walk over the rows: hourly series, interval sample, overview
+  /// counts (and, at a fixed τ, the per-user pass's folds riding along).
   double scan_s = 0;
-  /// Session identification (the columnar engine's fused per-user pass also
-  /// builds the usage tables inside this number).
+  /// Session identification: the per-user pass's Finish (and, when τ is
+  /// derived, its own walk); the pass also builds the usage tables inside
+  /// this number.
   double sessionize_s = 0;
   /// Per-user aggregations: usage tables (AoS), Table 3 columns,
   /// engagement curves, session statistics.
@@ -65,32 +68,23 @@ class AnalysisPipeline {
   explicit AnalysisPipeline(const PipelineOptions& options = {});
 
   /// Run every §3 analysis over a time-sorted trace (mobile + PC records).
-  /// Converts to a TraceStore and runs the columnar engine.
+  /// Converts to a TraceStore and runs Run(const TraceStore&).
   [[nodiscard]] FullReport Run(std::span<const LogRecord> trace,
                                StageTimings* timings = nullptr) const;
 
-  /// Columnar engine over a prebuilt store (needs kAnalysisColumns).
+  /// Walks a prebuilt store's day partitions (needs kAnalysisColumns).
   [[nodiscard]] FullReport Run(const TraceStore& store,
                                StageTimings* timings = nullptr) const;
 
-  /// Legacy AoS engine; FullReport is bit-identical to the columnar paths.
+  /// Legacy AoS engine; FullReport is bit-identical to the streaming paths.
   [[nodiscard]] FullReport RunAos(std::span<const LogRecord> trace,
                                   StageTimings* timings = nullptr) const;
 
-  /// Out-of-core engine: two streaming walks over a partitioned on-disk
-  /// trace, one calendar-day partition at a time, under the
-  /// `max_memory_mb` staging budget. The FullReport is bit-identical to
+  /// Streams a partitioned on-disk trace one calendar-day partition at a
+  /// time, under the `max_memory_mb` staging budget: one disk scan at a
+  /// fixed τ, two when τ is derived. The FullReport is bit-identical to
   /// Run(const TraceStore&) on the merged resident trace, at every thread
-  /// count and every budget (see analysis/stream_engine.h).
-  [[nodiscard]] FullReport RunOutOfCore(const PartitionedTrace& trace,
-                                        StageTimings* timings = nullptr) const;
-
-  /// Single-walk out-of-core engine: ONE disk scan feeds both streaming
-  /// passes at once — the per-user pass runs in inline-mobility mode (see
-  /// stream_engine.h), so it needs no mobility table from walk 1. Requires
-  /// a fixed `session_tau` (> 0): the valley-derived τ would gate
-  /// sessionization on the completed interval sketch. Bit-identical to
-  /// RunOutOfCore at half the disk traffic.
+  /// count and every budget.
   [[nodiscard]] FullReport RunStreaming(const PartitionedTrace& trace,
                                         StageTimings* timings = nullptr) const;
 
@@ -102,9 +96,9 @@ class AnalysisPipeline {
   using SliceConsumer = std::function<void(RecordColumns&&)>;
 
   /// Analyze-while-generate engine: `produce` emits sealed trace slices into
-  /// a bounded queue; a consumer thread analyzes each slice with the fused
-  /// columnar passes while the producer builds the next one, and the merged
-  /// results feed the same shared fit stages. Requires a fixed
+  /// a bounded queue; a consumer thread walks each slice as its own
+  /// TraceStore while the producer builds the next one, and the merged
+  /// results feed the same shared tail. Requires a fixed
   /// `session_tau` (> 0) and slices that (a) are time-sorted internally,
   /// (b) partition the user space into contiguous ascending ranges — every
   /// user's full history in exactly one slice — as

@@ -8,7 +8,7 @@
 // into TraceStore::Builder (resident path) or the partitioned run writer
 // (spill path) without another transpose. `user_ids` holds the *original*
 // 64-bit ids — dense remapping stays where it always lived (TraceStore
-// build / per-run v2 writer / per-slice analysis remap).
+// build, including RunConcurrent's per-slice stores / per-run v2 writer).
 //
 // The resilience tags (outcome, attempt) are runtime-only and not staged,
 // exactly as in the on-disk formats (trace/log_io.cc).

@@ -101,7 +101,7 @@ TraceStore TraceStore::Builder::Build() && {
   } else {
     s.FinalizeFromRawUsers(raw_users);
   }
-  s.BuildIndexes();
+  s.BuildDayPartitions();
   return s;
 }
 
@@ -137,20 +137,8 @@ void TraceStore::FinalizeFromRawUsers(std::span<const std::uint64_t> raw) {
   for (std::size_t i = 0; i < n; ++i) user_index_[i] = rank_of[seen_index[i]];
 }
 
-void TraceStore::BuildIndexes() {
-  const std::size_t n = user_index_.size();
-  const std::size_t u = user_ids_.size();
-
-  // Counting sort of row indices by dense user: a stable user-major resort.
-  user_offsets_.assign(u + 1, 0);
-  for (const std::uint32_t d : user_index_) ++user_offsets_[d + 1];
-  for (std::size_t i = 1; i <= u; ++i) user_offsets_[i] += user_offsets_[i - 1];
-  user_order_.resize(n);
-  std::vector<std::uint32_t> cursor(user_offsets_.begin(),
-                                    user_offsets_.end() - 1);
-  for (std::size_t i = 0; i < n; ++i)
-    user_order_[cursor[user_index_[i]]++] = static_cast<std::uint32_t>(i);
-
+void TraceStore::BuildDayPartitions() {
+  const std::size_t n = timestamps_.size();
   // Day partitions: contiguous runs of equal calendar day (time-sorted).
   partitions_.clear();
   std::size_t begin = 0;

@@ -3,16 +3,13 @@
 // The AoS `std::vector<LogRecord>` layout spends ~80 bytes per record and
 // forces every analysis stage to re-discover per-user structure through
 // `unordered_map` probes on sparse 64-bit user ids. TraceStore holds the same
-// Table 1 trace as one contiguous column per field, plus three indexes built
+// Table 1 trace as one contiguous column per field, plus two indexes built
 // once and shared by every stage:
 //
 //   * a dense user-id remap: `user_index()[row]` ∈ [0, users()), with
 //     `user_ids()[dense]` recovering the original 64-bit id. Dense ids are
 //     assigned in ascending original-id order, so iterating dense ids yields
 //     users in a canonical, thread-count-independent order.
-//   * a per-user run index: `UserRun(u)` lists the row indices of user u in
-//     time order (a stable user-major resort of the row index), so per-user
-//     analyses are sequential walks instead of hash probes.
 //   * per-day time partitions: contiguous [begin, end) row ranges of equal
 //     calendar day (relative to `day_base`), so day-windowed stages skip
 //     out-of-window rows wholesale and can shard deterministically.
@@ -132,16 +129,7 @@ class TraceStore {
     return proxied_;
   }
 
-  [[nodiscard]] bool IsMobileRow(std::size_t row) const {
-    return device_types_[row] != static_cast<std::uint8_t>(DeviceType::kPc);
-  }
-
   // ---- indexes ----
-  /// Row indices of dense user `u`, in time order (base order within ties).
-  [[nodiscard]] std::span<const std::uint32_t> UserRun(std::size_t u) const {
-    return std::span<const std::uint32_t>(user_order_)
-        .subspan(user_offsets_[u], user_offsets_[u + 1] - user_offsets_[u]);
-  }
   [[nodiscard]] std::span<const DayPartition> day_partitions() const {
     return partitions_;
   }
@@ -152,10 +140,9 @@ class TraceStore {
  private:
   friend struct Builder;
 
-  /// Validates enum columns, assigns the canonical dense remap from a raw
-  /// original-id user column, and builds the run index and day partitions.
+  /// Assigns the canonical dense remap from a raw original-id user column.
   void FinalizeFromRawUsers(std::span<const std::uint64_t> raw_users);
-  void BuildIndexes();
+  void BuildDayPartitions();
 
   std::uint32_t present_ = 0;
   UnixSeconds day_base_ = kTraceStart;
@@ -173,10 +160,6 @@ class TraceStore {
   std::vector<double> avg_rtts_;
   std::vector<std::uint8_t> proxied_;
 
-  // user-major resort: user_order_[user_offsets_[u] .. user_offsets_[u+1])
-  // lists user u's rows in time order.
-  std::vector<std::uint32_t> user_order_;
-  std::vector<std::uint32_t> user_offsets_;
   std::vector<DayPartition> partitions_;
 };
 
@@ -206,7 +189,7 @@ struct TraceStore::Builder {
 
   void Reserve(std::size_t n);
   void Append(const LogRecord& r);
-  /// Validate, remap users, build indexes. Consumes the builder.
+  /// Validate, remap users, build the day partitions. Consumes the builder.
   [[nodiscard]] TraceStore Build() &&;
 };
 

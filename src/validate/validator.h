@@ -1,5 +1,5 @@
 // The validation driver behind `mcloudctl validate`: generate a trace
-// through the columnar path, run the fused analysis engine (the checks read
+// through the columnar path, run the analysis pipeline (the checks read
 // its streaming sketches), execute the §4 fleet simulation, evaluate every
 // FigureCheck, and
 // emit a machine-readable pass/fail manifest. A seed-sweep mode re-runs the
@@ -45,7 +45,7 @@ struct ValidateOptions {
   /// identity: changing it reseeds the fleet.
   std::uint32_t fleet_shards = 8;
   /// Out-of-core mode: generate with bounded-memory spilling into a
-  /// partitioned on-disk trace and analyze it via RunOutOfCore. Execution
+  /// partitioned on-disk trace and analyze it via RunStreaming. Execution
   /// strategy, not sample identity — none of these three knobs enter
   /// ManifestFingerprint, and an out-of-core run fingerprints identically
   /// to the resident run it mirrors (the CI smoke job checks exactly that).
@@ -69,7 +69,7 @@ struct ValidationRun {
   std::vector<CheckOutcome> outcomes;
   double generate_s = 0;  ///< workload generation (0 in concurrent mode —
                           ///< generation overlaps analysis there)
-  double analyze_s = 0;   ///< fused analysis engine
+  double analyze_s = 0;   ///< analysis pipeline
   double fleet_s = 0;     ///< §4 service simulation + Fig 13 flows
   double checks_s = 0;    ///< all FigureCheck evaluations
   double total_s = 0;

@@ -1,7 +1,7 @@
 // The out-of-core pipeline's determinism contract: spill-generate +
-// RunOutOfCore must produce the bit-identical FullReport of the resident
-// GenerateColumnar + Run path, at every thread count and every spill-buffer
-// size (DESIGN.md, "Out-of-core pipeline").
+// RunStreaming must produce the bit-identical FullReport of the resident
+// GenerateColumnar + Run path, at every thread count, every spill-buffer
+// size and both walk plans (DESIGN.md, "Out-of-core pipeline").
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -63,7 +63,7 @@ TEST(OutOfCore, SpilledGenerationMatchesResidentReport) {
     opts.threads = threads;
     opts.max_memory_mb = 1;  // minimum staging: many refills per day
     const core::FullReport got =
-        core::AnalysisPipeline(opts).RunOutOfCore(trace);
+        core::AnalysisPipeline(opts).RunStreaming(trace);
     EXPECT_EQ(core::FingerprintReport(got), want_fp)
         << "threads=" << threads;
     std::filesystem::remove_all(dir);
@@ -74,9 +74,6 @@ TEST(OutOfCore, RunStreamingMatchesResidentReport) {
   const workload::WorkloadConfig cfg = SmallConfig();
   const workload::ColumnarWorkload resident =
       workload::WorkloadGenerator(cfg).GenerateColumnar();
-  const core::FullReport want =
-      core::AnalysisPipeline(core::PipelineOptions{}).Run(resident.trace);
-  const std::uint64_t want_fp = core::FingerprintReport(want);
 
   const auto dir = SpillDir("mcloud_ooc_streaming_test");
   workload::SpillConfig spill;
@@ -86,19 +83,25 @@ TEST(OutOfCore, RunStreamingMatchesResidentReport) {
   (void)workload::WorkloadGenerator(cfg).GenerateToPartitions(spill);
   const PartitionedTrace trace = PartitionedTrace::Open(dir);
 
-  // The single-walk engine (one Scan feeding the row pass and the
-  // inline-mobility per-user pass together) must be bit-identical to the
-  // resident two-pass engine at every thread count and staging budget.
-  for (const int threads : {1, 3}) {
-    core::PipelineOptions opts;
-    opts.threads = threads;
-    opts.max_memory_mb = 1;  // minimum staging: many refills per day
-    core::StageTimings st;
-    const core::FullReport got =
-        core::AnalysisPipeline(opts).RunStreaming(trace, &st);
-    EXPECT_EQ(core::FingerprintReport(got), want_fp)
-        << "threads=" << threads;
-    EXPECT_GT(st.fits_s, 0.0);
+  // Both walk plans — one Scan at the fixed τ, two at the valley-derived
+  // τ (0) — must be bit-identical to the resident store walk at every
+  // thread count and staging budget.
+  for (const Seconds tau : {kHour, Seconds{0}}) {
+    core::PipelineOptions resident_opts;
+    resident_opts.session_tau = tau;
+    const std::uint64_t want_fp = core::FingerprintReport(
+        core::AnalysisPipeline(resident_opts).Run(resident.trace));
+    for (const int threads : {1, 3}) {
+      core::PipelineOptions opts = resident_opts;
+      opts.threads = threads;
+      opts.max_memory_mb = 1;  // minimum staging: many refills per day
+      core::StageTimings st;
+      const core::FullReport got =
+          core::AnalysisPipeline(opts).RunStreaming(trace, &st);
+      EXPECT_EQ(core::FingerprintReport(got), want_fp)
+          << "tau=" << tau << " threads=" << threads;
+      EXPECT_GT(st.fits_s, 0.0);
+    }
   }
   std::filesystem::remove_all(dir);
 }
@@ -183,7 +186,8 @@ TEST(OutOfCore, GenerateToPartitionsIsIdenticalAcrossThreadCounts) {
     spill.users_per_chunk = 64;
     (void)workload::WorkloadGenerator(cfg).GenerateToPartitions(spill);
     const core::FullReport report =
-        core::AnalysisPipeline(core::PipelineOptions{}).RunOutOfCore(PartitionedTrace::Open(dir));
+        core::AnalysisPipeline(core::PipelineOptions{})
+            .RunStreaming(PartitionedTrace::Open(dir));
     std::filesystem::remove_all(dir);
     return core::FingerprintReport(report);
   };

@@ -8,7 +8,6 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <limits>
 #include <vector>
 
 #include "core/pipeline.h"
@@ -78,24 +77,6 @@ TEST(TraceStore, DenseRemapIsAscendingOriginalOrder) {
     EXPECT_EQ(store.user_ids()[store.user_index()[row]],
               records[row].user_id);
   }
-}
-
-TEST(TraceStore, UserRunsAreTimeOrderedAndCoverAllRows) {
-  const auto records = MixedTrace();
-  const auto store = TraceStore::FromRecords(records);
-
-  std::vector<int> visits(store.rows(), 0);
-  for (std::size_t u = 0; u < store.users(); ++u) {
-    const auto run = store.UserRun(u);
-    std::int64_t prev = std::numeric_limits<std::int64_t>::min();
-    for (const std::uint32_t row : run) {
-      EXPECT_EQ(store.user_index()[row], u);
-      EXPECT_GE(store.timestamps()[row], prev);
-      prev = store.timestamps()[row];
-      ++visits[row];
-    }
-  }
-  for (const int v : visits) EXPECT_EQ(v, 1);  // a partition of the rows
 }
 
 TEST(TraceStore, DayPartitionsTileTheTraceByCalendarDay) {

@@ -5,9 +5,10 @@
 //                       [--loss-burst R] [--degraded R] [--hedge]
 //                       [--out-of-core [--max-memory-mb M]] OUT
 //   mcloudctl grow      --users N [--pc N] [--seed S] [--threads N]
-//                       [--max-memory-mb M] [--analyze-while-generate] OUT
+//                       [--tau SECONDS] [--max-memory-mb M]
+//                       [--analyze-while-generate] OUT
 //   mcloudctl analyze   TRACE [--tau SECONDS|auto] [--threads N]
-//                       [--max-memory-mb M] [--streaming]
+//                       [--max-memory-mb M]
 //   mcloudctl sessions  TRACE [--tau SECONDS] [--top N]
 //   mcloudctl convert   IN OUT
 //   mcloudctl anonymize IN OUT --key KEY
@@ -49,24 +50,29 @@
 // Out-of-core mode: `generate --out-of-core OUT` writes a *partitioned
 // trace directory* (per-day sorted run files + MANIFEST, see
 // trace/partitioned_trace.h) under a bounded emission buffer, and `analyze`
-// and `validate` stream such a directory through the out-of-core engine —
-// same reports/fingerprints as the resident paths, at any --max-memory-mb.
+// and `validate` stream such a directory back (AnalysisPipeline::
+// RunStreaming) — same reports/fingerprints as the resident paths, at any
+// --max-memory-mb. The session gap alone decides how often the rows are
+// read: once at a fixed --tau, twice at --tau auto (the Fig 3 valley must
+// be known before sessionization starts).
 //
 // Online mode: `grow OUT` generates a partitioned trace *and* produces the
-// findings report in one command — two-phase by default (spill, then the
-// single-walk streaming engine), or fully overlapped with
-// --analyze-while-generate (each sealed spill slice is analyzed while the
-// next one is generated; see AnalysisPipeline::RunConcurrent). `analyze
-// --streaming` runs the single-walk engine on an existing partition
-// directory and prints the stage timing block with the sketch footprint;
-// `validate --concurrent` validates through the overlapped pipeline and
-// fingerprints identically to the resident run.
+// findings report in one command — two-phase by default (spill, then one
+// streaming walk), or fully overlapped with --analyze-while-generate (each
+// sealed spill slice is analyzed while the next one is generated; see
+// AnalysisPipeline::RunConcurrent). `analyze` and `grow` print the stage
+// timing block with the sketch footprint on stderr; `validate --concurrent`
+// validates through the overlapped pipeline and fingerprints identically
+// to the resident run.
 #include <algorithm>
+#include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -131,9 +137,9 @@ Args Parse(int argc, char** argv, int first) {
   // Flags that never take a value, so a following positional (e.g. the
   // output path after `--faults`) is not swallowed as their argument.
   static const std::set<std::string> kBooleanFlags = {
-      "no-ssai", "pace",      "faults",    "hedge",
-      "no-retry", "out-of-core", "streaming", "analyze-while-generate",
-      "concurrent"};
+      "no-ssai",     "pace",         "faults",
+      "hedge",       "no-retry",     "out-of-core",
+      "concurrent",  "analyze-while-generate"};
   Args args;
   for (int i = first; i < argc; ++i) {
     const std::string_view a = argv[i];
@@ -195,9 +201,10 @@ int Usage() {
       "            [--loss-burst R] [--degraded R] [--hedge]\n"
       "            [--out-of-core [--max-memory-mb M]] OUT\n"
       "  grow      --users N [--pc N] [--seed S] [--threads N]\n"
-      "            [--max-memory-mb M] [--analyze-while-generate] OUT\n"
+      "            [--tau SECONDS] [--max-memory-mb M]\n"
+      "            [--analyze-while-generate] OUT\n"
       "  analyze   TRACE [--tau SECONDS|auto] [--threads N]\n"
-      "            [--max-memory-mb M] [--streaming]\n"
+      "            [--max-memory-mb M]\n"
       "  sessions  TRACE [--tau SECONDS] [--top N]\n"
       "  convert   IN OUT\n"
       "  anonymize IN OUT --key KEY\n"
@@ -230,10 +237,12 @@ int Usage() {
       "TRACE) is a partitioned trace *directory*; --max-memory-mb bounds\n"
       "the resident footprint. grow writes a partitioned directory AND\n"
       "prints the findings report — two disk phases by default, one\n"
-      "overlapped walk with --analyze-while-generate. analyze --streaming\n"
-      "runs the single-walk engine on a partition directory and prints the\n"
-      "stage timings with the sketch footprint; validate --concurrent\n"
-      "validates through the overlapped pipeline. --threads 0 (the\n"
+      "overlapped walk with --analyze-while-generate. --tau is a positive\n"
+      "number of seconds (default 3600); analyze also takes --tau auto,\n"
+      "the Fig 3 valley, which costs a second walk over the rows. analyze\n"
+      "and grow print the stage timings with the sketch footprint on\n"
+      "stderr; validate --concurrent validates through the overlapped\n"
+      "pipeline. --threads 0 (the\n"
       "default) uses all hardware threads; output is identical for every\n"
       "thread count, memory budget, and execution strategy.\n",
       stderr);
@@ -350,33 +359,42 @@ void PrintStageTimings(const core::StageTimings& st,
                static_cast<double>(report.sketches.MemoryBytes()) / 1024.0);
 }
 
+/// --tau: a positive finite number of seconds (default one hour), or —
+/// where `allow_auto` — `auto`, which maps to 0: derive τ from the Fig 3
+/// histogram valley. Anything else prints a message and yields nullopt.
+std::optional<Seconds> ParseTau(const Args& args, bool allow_auto) {
+  const std::string s = args.Get("tau", "3600");
+  if (allow_auto && s == "auto") return 0.0;
+  char* end = nullptr;
+  const double tau = s.empty() ? 0 : std::strtod(s.c_str(), &end);
+  if (s.empty() || std::isspace(static_cast<unsigned char>(s[0])) ||
+      *end != '\0' || !std::isfinite(tau) || tau <= 0) {
+    std::fprintf(stderr,
+                 "mcloudctl: --tau must be a positive number of seconds%s, "
+                 "got '%s'\n",
+                 allow_auto ? " or auto" : "", s.c_str());
+    return std::nullopt;
+  }
+  return tau;
+}
+
 int CmdAnalyze(const Args& args) {
   if (args.positional.size() != 1) return Usage();
-  const bool streaming = args.Has("streaming");
+  const std::optional<Seconds> tau = ParseTau(args, /*allow_auto=*/true);
+  if (!tau) return 2;
   core::PipelineOptions opts;
-  const std::string tau = args.Get("tau", "3600");
-  opts.session_tau = tau == "auto" ? 0 : std::strtod(tau.c_str(), nullptr);
+  opts.session_tau = *tau;
   opts.threads = static_cast<int>(args.GetU64("threads", 0));
-  if (streaming && opts.session_tau <= 0) {
-    std::fprintf(stderr, "mcloudctl: --streaming needs a fixed --tau (the "
-                         "single-walk engine cannot derive it)\n");
-    return 2;
-  }
+  opts.max_memory_mb =
+      static_cast<std::size_t>(args.GetU64("max-memory-mb", 0));
   const core::AnalysisPipeline pipeline(opts);
 
   const std::filesystem::path path = args.positional[0];
   core::FullReport report;
   core::StageTimings st;
   if (std::filesystem::is_directory(path)) {
-    // Partitioned trace directory: stream it through the out-of-core
-    // engine under the requested budget — one walk with --streaming, two
-    // without.
-    opts.max_memory_mb =
-        static_cast<std::size_t>(args.GetU64("max-memory-mb", 0));
-    const core::AnalysisPipeline streamer(opts);
-    const PartitionedTrace part = PartitionedTrace::Open(path);
-    report = streaming ? streamer.RunStreaming(part, &st)
-                       : streamer.RunOutOfCore(part, &st);
+    // Partitioned trace directory: stream it under the requested budget.
+    report = pipeline.RunStreaming(PartitionedTrace::Open(path), &st);
   } else if (!IsCsv(path) && IsColumnarTrace(path)) {
     // Columnar fast path: load only the columns the pipeline touches and
     // feed the store directly — no LogRecord vector is ever built.
@@ -385,17 +403,19 @@ int CmdAnalyze(const Args& args) {
     report = pipeline.Run(ReadTrace(path), &st);
   }
   std::fputs(core::RenderFindings(report).c_str(), stdout);
-  if (streaming) PrintStageTimings(st, report);
+  PrintStageTimings(st, report);
   return 0;
 }
 
 /// Generate a partitioned trace directory AND produce its findings report.
-/// Two-phase by default (spill everything, then the single-walk streaming
-/// engine); with --analyze-while-generate each sealed spill slice feeds the
+/// Two-phase by default (spill everything, then stream it back in one walk
+/// with RunStreaming); with --analyze-while-generate each sealed spill slice feeds the
 /// concurrent pipeline while the next slice is generated, so the report is
 /// ready moments after the last record is written.
 int CmdGrow(const Args& args) {
   if (args.positional.size() != 1) return Usage();
+  const std::optional<Seconds> tau = ParseTau(args, /*allow_auto=*/false);
+  if (!tau) return 2;
   workload::WorkloadConfig cfg;
   cfg.population.mobile_users = args.GetU64("users", 6000);
   cfg.population.pc_only_users =
@@ -411,13 +431,9 @@ int CmdGrow(const Args& args) {
   spill.max_buffer_bytes = budget_mb * (1024 * 1024 / 3);
 
   core::PipelineOptions popts;
-  popts.session_tau = std::strtod(args.Get("tau", "3600").c_str(), nullptr);
+  popts.session_tau = *tau;
   popts.threads = cfg.threads;
   popts.max_memory_mb = static_cast<std::size_t>(budget_mb);
-  if (popts.session_tau <= 0) {
-    std::fprintf(stderr, "mcloudctl: grow needs a fixed --tau\n");
-    return 2;
-  }
   const core::AnalysisPipeline pipeline(popts);
   const workload::WorkloadGenerator generator(cfg);
 
@@ -460,13 +476,14 @@ int CmdGrow(const Args& args) {
 
 int CmdSessions(const Args& args) {
   if (args.positional.size() != 1) return Usage();
+  const std::optional<Seconds> tau = ParseTau(args, /*allow_auto=*/false);
+  if (!tau) return 2;
   const auto trace = ReadTrace(args.positional[0]);
-  const Seconds tau = std::strtod(args.Get("tau", "3600").c_str(), nullptr);
-  const auto sessions = analysis::Sessionizer(tau).Sessionize(trace);
+  const auto sessions = analysis::Sessionizer(*tau).Sessionize(trace);
 
   const std::uint64_t top = args.GetU64("top", 20);
   std::printf("%zu sessions (tau = %.0f s); largest %llu by volume:\n",
-              sessions.size(), tau,
+              sessions.size(), *tau,
               static_cast<unsigned long long>(top));
   std::vector<const analysis::Session*> by_volume;
   by_volume.reserve(sessions.size());
