@@ -175,7 +175,12 @@ HttpResponse LiveService::HandleChunkPut(const HttpRequest& req,
       200, std::string("{\"dedup\":") + (dedup ? "true" : "false") +
                ",\"front_end\":" + std::to_string(fe) + "}");
   r.headers.emplace_back(std::string(kHdrSource), dedup ? "index" : "stored");
-  r.headers.emplace_back("ETag", "\"" + chunk.md5.ToHex() + "\"");
+  // Appended rather than `"\"" + hex + "\""`, which GCC 12 flags with a
+  // false -Wrestrict at -O2 and so breaks MCLOUD_WERROR builds.
+  std::string etag = "\"";
+  etag += chunk.md5.ToHex();
+  etag += '"';
+  r.headers.emplace_back("ETag", std::move(etag));
   return r;
 }
 

@@ -1,5 +1,7 @@
 #include "stats/special_functions.h"
 
+#include <math.h>  // lgamma_r
+
 #include <algorithm>
 #include <cmath>
 #include <limits>
@@ -12,6 +14,14 @@ namespace {
 constexpr int kMaxIterations = 500;
 constexpr double kEpsilon = 1e-14;
 
+// ln Γ(a). std::lgamma also stores the sign of Γ(a) in the process-wide
+// `signgam`, a data race when fits run concurrently; lgamma_r returns the
+// same value and keeps the sign local.
+double LogGamma(double a) {
+  int sign = 0;
+  return lgamma_r(a, &sign);
+}
+
 // Series expansion of P(a, x), accurate for x < a + 1.
 double GammaPSeries(double a, double x) {
   double term = 1.0 / a;
@@ -23,7 +33,7 @@ double GammaPSeries(double a, double x) {
     sum += term;
     if (std::abs(term) < std::abs(sum) * kEpsilon) break;
   }
-  return sum * std::exp(-x + a * std::log(x) - std::lgamma(a));
+  return sum * std::exp(-x + a * std::log(x) - LogGamma(a));
 }
 
 // Lentz continued fraction for Q(a, x), accurate for x >= a + 1.
@@ -45,7 +55,7 @@ double GammaQContinuedFraction(double a, double x) {
     h *= delta;
     if (std::abs(delta - 1.0) < kEpsilon) break;
   }
-  return h * std::exp(-x + a * std::log(x) - std::lgamma(a));
+  return h * std::exp(-x + a * std::log(x) - LogGamma(a));
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 #include "trace/record_columns.h"
 
+#include <functional>
 #include <span>
+#include <type_traits>
 #include <utility>
 
 #include "trace/log_io.h"
@@ -8,32 +10,73 @@
 
 namespace mcloud {
 
+namespace {
+
+/// fn(&RecordColumns::<column>) for every column, in declaration order.
+template <typename Fn>
+void ForEachColumn(Fn&& fn) {
+  fn(&RecordColumns::timestamps);
+  fn(&RecordColumns::device_types);
+  fn(&RecordColumns::device_ids);
+  fn(&RecordColumns::user_ids);
+  fn(&RecordColumns::request_types);
+  fn(&RecordColumns::directions);
+  fn(&RecordColumns::data_volumes);
+  fn(&RecordColumns::processing_times);
+  fn(&RecordColumns::server_times);
+  fn(&RecordColumns::avg_rtts);
+  fn(&RecordColumns::proxied);
+}
+
+/// body(begin, end) over contiguous row blocks of [0, n): one per pool
+/// thread from StableRadixSorter::kParallelMinN rows, else inline.
+template <typename Body>
+void ForRowBlocks(ThreadPool* pool, std::size_t n, const Body& body) {
+  if (pool == nullptr || n < StableRadixSorter::kParallelMinN) {
+    body(std::size_t{0}, n);
+    return;
+  }
+  ParallelForShards(*pool, n,
+                    [&](std::size_t, std::size_t begin, std::size_t end) {
+                      body(begin, end);
+                    });
+}
+
+/// The tasks on the pool, or in order on the calling thread without one.
+void RunTasks(ThreadPool* pool, std::vector<std::function<void()>> tasks) {
+  if (pool != nullptr) {
+    ParallelInvoke(*pool, std::move(tasks));
+    return;
+  }
+  for (const auto& task : tasks) task();
+}
+
+/// The scratch gather target for a column of element type T.
+std::vector<std::int64_t>& GatherBuffer(RecordColumnsScratch& s,
+                                        const std::vector<std::int64_t>&) {
+  return s.i64;
+}
+std::vector<std::uint64_t>& GatherBuffer(RecordColumnsScratch& s,
+                                         const std::vector<std::uint64_t>&) {
+  return s.u64;
+}
+std::vector<std::uint8_t>& GatherBuffer(RecordColumnsScratch& s,
+                                        const std::vector<std::uint8_t>&) {
+  return s.u8;
+}
+std::vector<double>& GatherBuffer(RecordColumnsScratch& s,
+                                  const std::vector<double>&) {
+  return s.f64;
+}
+
+}  // namespace
+
 void RecordColumns::clear() {
-  timestamps.clear();
-  device_types.clear();
-  device_ids.clear();
-  user_ids.clear();
-  request_types.clear();
-  directions.clear();
-  data_volumes.clear();
-  processing_times.clear();
-  server_times.clear();
-  avg_rtts.clear();
-  proxied.clear();
+  ForEachColumn([&](auto column) { (this->*column).clear(); });
 }
 
 void RecordColumns::reserve(std::size_t n) {
-  timestamps.reserve(n);
-  device_types.reserve(n);
-  device_ids.reserve(n);
-  user_ids.reserve(n);
-  request_types.reserve(n);
-  directions.reserve(n);
-  data_volumes.reserve(n);
-  processing_times.reserve(n);
-  server_times.reserve(n);
-  avg_rtts.reserve(n);
-  proxied.reserve(n);
+  ForEachColumn([&](auto column) { (this->*column).reserve(n); });
 }
 
 void RecordColumns::Append(const LogRecord& r) {
@@ -66,78 +109,85 @@ LogRecord RecordColumns::RecordAt(std::size_t i) const {
   return r;
 }
 
-std::vector<LogRecord> RecordColumns::ToRecords() const {
-  std::vector<LogRecord> out;
-  out.reserve(size());
-  for (std::size_t i = 0; i < size(); ++i) out.push_back(RecordAt(i));
-  return out;
-}
-
 std::vector<LogRecord> RecordColumns::ToRecords(
-    std::span<const std::uint32_t> perm) const {
-  std::vector<LogRecord> out;
-  out.reserve(perm.size());
-  for (const std::uint32_t i : perm) out.push_back(RecordAt(i));
+    std::span<const std::uint32_t> perm, ThreadPool* pool) const {
+  std::vector<LogRecord> out(perm.size());
+  ForRowBlocks(pool, perm.size(), [&](std::size_t begin, std::size_t end) {
+    for (std::size_t j = begin; j < end; ++j) out[j] = RecordAt(perm[j]);
+  });
   return out;
 }
 
-void RecordColumns::AppendAll(RecordColumns&& other) {
-  if (empty() && capacity() == 0) {
-    *this = std::move(other);
+void RecordColumns::AppendAll(std::span<RecordColumns> runs,
+                              ThreadPool* pool) {
+  if (empty() && capacity() == 0 && runs.size() == 1) {
+    *this = std::move(runs[0]);
+    runs[0] = RecordColumns();
     return;
   }
-  AppendCopy(other);
-  other.clear();
+  std::size_t total = size();
+  for (const RecordColumns& run : runs) total += run.size();
+  // Allocate on the calling thread, so the columns come from its malloc
+  // arena and not from whichever pool thread runs the copy.
+  reserve(total);
+  const auto append = [&](auto column) {
+    auto& dst = this->*column;
+    for (RecordColumns& run : runs) {
+      auto& src = run.*column;
+      dst.insert(dst.end(), src.begin(), src.end());
+      std::remove_reference_t<decltype(src)>().swap(src);
+    }
+  };
+  std::vector<std::function<void()>> tasks;
+  ForEachColumn([&](auto column) {
+    tasks.emplace_back([&append, column] { append(column); });
+  });
+  RunTasks(pool, std::move(tasks));
 }
 
 void RecordColumns::AppendCopy(const RecordColumns& other) {
-  const auto cat = [](auto& dst, const auto& src) {
+  ForEachColumn([&](auto column) {
+    auto& dst = this->*column;
+    const auto& src = other.*column;
     dst.insert(dst.end(), src.begin(), src.end());
-  };
-  cat(timestamps, other.timestamps);
-  cat(device_types, other.device_types);
-  cat(device_ids, other.device_ids);
-  cat(user_ids, other.user_ids);
-  cat(request_types, other.request_types);
-  cat(directions, other.directions);
-  cat(data_volumes, other.data_volumes);
-  cat(processing_times, other.processing_times);
-  cat(server_times, other.server_times);
-  cat(avg_rtts, other.avg_rtts);
-  cat(proxied, other.proxied);
+  });
 }
 
 std::span<const std::uint32_t> RecordColumns::TimeOrderPerm(
-    RecordColumnsScratch& scratch) const {
+    RecordColumnsScratch& scratch, ThreadPool* pool) const {
   const RadixKey keys[3] = {
       RadixKey::I64(timestamps),
       RadixKey::U64(user_ids),
       RadixKey::U64(device_ids),
   };
-  return scratch.sorter.Sort(size(), keys);
+  return scratch.sorter.Sort(size(), keys, pool);
 }
 
-void RecordColumns::SortByTimeOrder(RecordColumnsScratch& scratch) {
+void RecordColumns::SortByTimeOrder(RecordColumnsScratch& scratch,
+                                    ThreadPool* pool) {
   const std::size_t n = size();
   if (n < 2) return;
-  const std::span<const std::uint32_t> perm = TimeOrderPerm(scratch);
-
-  const auto gather = [&perm, n](auto& col, auto& tmp) {
-    tmp.resize(n);
-    for (std::size_t j = 0; j < n; ++j) tmp[j] = col[perm[j]];
+  const std::span<const std::uint32_t> perm = TimeOrderPerm(scratch, pool);
+  // Growing a gather target zero-fills it; the four fills overlap on the
+  // pool. Each ends the sort at n rows anyway, holding a swapped-out column.
+  // The allocations stay on the calling thread, in its malloc arena: freed
+  // in a pool thread's arena, they would not be reused by later callers.
+  scratch.i64.reserve(n);
+  scratch.u64.reserve(n);
+  scratch.u8.reserve(n);
+  scratch.f64.reserve(n);
+  RunTasks(pool, {[&] { scratch.i64.resize(n); },
+                  [&] { scratch.u64.resize(n); },
+                  [&] { scratch.u8.resize(n); },
+                  [&] { scratch.f64.resize(n); }});
+  ForEachColumn([&](auto column) {
+    auto& col = this->*column;
+    auto& tmp = GatherBuffer(scratch, col);
+    ForRowBlocks(pool, n, [&](std::size_t begin, std::size_t end) {
+      for (std::size_t j = begin; j < end; ++j) tmp[j] = col[perm[j]];
+    });
     col.swap(tmp);
-  };
-  gather(timestamps, scratch.i64);
-  gather(device_types, scratch.u8);
-  gather(device_ids, scratch.u64);
-  gather(user_ids, scratch.u64);
-  gather(request_types, scratch.u8);
-  gather(directions, scratch.u8);
-  gather(data_volumes, scratch.u64);
-  gather(processing_times, scratch.f64);
-  gather(server_times, scratch.f64);
-  gather(avg_rtts, scratch.f64);
-  gather(proxied, scratch.u8);
+  });
 }
 
 namespace {

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "trace/log_record.h"
+#include "util/parallel.h"
 #include "util/radix_sort.h"
 
 namespace mcloud {
@@ -27,7 +28,9 @@ struct RecordColumns;
 
 /// Reusable scratch for RecordColumns::SortByTimeOrder: the radix sorter's
 /// pair/count buffers plus one gather target per column element type. Keep
-/// one per shard/worker and steady-state sorting allocates nothing.
+/// one per shard/worker and steady-state sorting allocates nothing. The
+/// gather stays column by column even on a pool, so the sort never holds
+/// more than one temporary column per element type.
 struct RecordColumnsScratch {
   StableRadixSorter sorter;
   std::vector<std::int64_t> i64;
@@ -63,31 +66,34 @@ struct RecordColumns {
   void Append(const LogRecord& r);
   /// Materialize row i as a LogRecord (resilience tags at defaults).
   [[nodiscard]] LogRecord RecordAt(std::size_t i) const;
-  /// Materialize the whole buffer (byte-identical to appending RecordAt(i)
-  /// for every row).
-  [[nodiscard]] std::vector<LogRecord> ToRecords() const;
   /// Materialize rows in permutation order — RecordAt(perm[0]),
   /// RecordAt(perm[1]), ... The resident Generate path fuses its final
   /// time-order sort with the AoS transpose this way, skipping the
-  /// 11-column gather entirely.
+  /// 11-column gather entirely. With a pool, row blocks fill in parallel.
   [[nodiscard]] std::vector<LogRecord> ToRecords(
-      std::span<const std::uint32_t> perm) const;
+      std::span<const std::uint32_t> perm, ThreadPool* pool = nullptr) const;
 
-  /// Append all rows of `other`. When this buffer is empty with no
-  /// capacity, steals other's storage outright.
-  void AppendAll(RecordColumns&& other);
+  /// Append the rows of every run, in run order, leaving the runs empty.
+  /// When this buffer is empty and there is one run, steals its storage
+  /// outright; otherwise each column is one pool task that appends the runs'
+  /// columns in order and releases each as soon as it is copied, so the
+  /// transient footprint stays about one run's column per task.
+  void AppendAll(std::span<RecordColumns> runs, ThreadPool* pool = nullptr);
   /// Append rows of `other` by copy, leaving `other`'s capacity intact
   /// (the pooled chunk-buffer path).
   void AppendCopy(const RecordColumns& other);
 
   /// Stable sort by LogRecordTimeOrder — (timestamp, user_id, device_id),
   /// ties in current order — via a radix permutation and one gather per
-  /// column. Identical order to std::stable_sort with LogRecordTimeOrder.
-  void SortByTimeOrder(RecordColumnsScratch& scratch);
+  /// column. Identical order to std::stable_sort with LogRecordTimeOrder,
+  /// with or without a pool (which runs the sort and each column's gather
+  /// over row blocks).
+  void SortByTimeOrder(RecordColumnsScratch& scratch,
+                       ThreadPool* pool = nullptr);
   /// The stable LogRecordTimeOrder permutation without rearranging the
   /// columns. The span is owned by `scratch` and valid until its next sort.
   [[nodiscard]] std::span<const std::uint32_t> TimeOrderPerm(
-      RecordColumnsScratch& scratch) const;
+      RecordColumnsScratch& scratch, ThreadPool* pool = nullptr) const;
 };
 
 /// Canonical FNV-1a fingerprint of a trace's Table 1 content, independent

@@ -50,11 +50,10 @@ void SortSessionsByStart(std::vector<SessionPlan>& sessions) {
 WorkloadGenerator::WorkloadGenerator(const WorkloadConfig& config)
     : config_(config) {}
 
-Workload WorkloadGenerator::PlanAndEmit(RecordColumns* trace,
+Workload WorkloadGenerator::PlanAndEmit(ThreadPool& pool, RecordColumns* trace,
                                         GenTimings* timings,
                                         bool sort_trace) const {
   const bool emit_logs = trace != nullptr;
-  ThreadPool pool(config_.threads);
   Rng rng(config_.seed);
 
   auto t0 = Clock::now();
@@ -81,7 +80,8 @@ Workload WorkloadGenerator::PlanAndEmit(RecordColumns* trace,
   // shard runs in shard order is the user-ordered emission; ONE global
   // stable radix sort of that concatenation equals the stable sort the old
   // per-shard sort + stable k-way merge computed, independent of the shard
-  // count.
+  // count — and the sort, on the same pool, is itself independent of the
+  // thread count.
   const std::size_t shards = ShardCount(pool, w.users.size());
   std::vector<std::vector<SessionPlan>> session_runs(shards);
   std::vector<RecordColumns> cols_runs(emit_logs ? shards : 0);
@@ -140,16 +140,10 @@ Workload WorkloadGenerator::PlanAndEmit(RecordColumns* trace,
   SortSessionsByStart(w.sessions);
 
   if (emit_logs) {
-    std::size_t n_records = 0;
-    for (const auto& run : cols_runs) n_records += run.size();
-    trace->reserve(n_records);
-    for (auto& run : cols_runs) {
-      trace->AppendAll(std::move(run));
-      run = RecordColumns();
-    }
+    trace->AppendAll(cols_runs, &pool);
     if (sort_trace) {
       RecordColumnsScratch sort_scratch;
-      trace->SortByTimeOrder(sort_scratch);
+      trace->SortByTimeOrder(sort_scratch, &pool);
     }
   }
   if (timings) {
@@ -166,15 +160,16 @@ Workload WorkloadGenerator::PlanAndEmit(RecordColumns* trace,
 
 Workload WorkloadGenerator::Generate(GenTimings* timings) const {
   const auto t0 = Clock::now();
+  ThreadPool pool(config_.threads);
   RecordColumns cols;
-  Workload w = PlanAndEmit(&cols, timings, /*sort_trace=*/false);
+  Workload w = PlanAndEmit(pool, &cols, timings, /*sort_trace=*/false);
   // Fuse the time-order sort with the AoS transpose: gather straight from
   // the unsorted columns through the stable permutation. Identical bytes to
   // sorting the columns first and transposing row by row, one full
   // materialization pass cheaper.
   const auto s0 = Clock::now();
   RecordColumnsScratch sort_scratch;
-  w.trace = cols.ToRecords(cols.TimeOrderPerm(sort_scratch));
+  w.trace = cols.ToRecords(cols.TimeOrderPerm(sort_scratch, &pool), &pool);
   if (timings) {
     timings->sort_s += Since(s0);
     timings->total_s += Since(t0);
@@ -185,8 +180,9 @@ Workload WorkloadGenerator::Generate(GenTimings* timings) const {
 ColumnarWorkload WorkloadGenerator::GenerateColumnar(
     GenTimings* timings) const {
   const auto t0 = Clock::now();
+  ThreadPool pool(config_.threads);
   RecordColumns cols;
-  Workload w = PlanAndEmit(&cols, timings);
+  Workload w = PlanAndEmit(pool, &cols, timings);
 
   // The sorted columns move straight into the store builder — no
   // record-by-record append, no AoS copy.
@@ -213,7 +209,8 @@ ColumnarWorkload WorkloadGenerator::GenerateColumnar(
 }
 
 Workload WorkloadGenerator::GeneratePlansOnly() const {
-  return PlanAndEmit(nullptr, nullptr);
+  ThreadPool pool(config_.threads);
+  return PlanAndEmit(pool, nullptr, nullptr);
 }
 
 // Bounded-memory twin of PlanAndEmit + GenerateColumnar. The RNG sequence
@@ -315,7 +312,8 @@ SpillSummary WorkloadGenerator::GenerateToPartitions(
   const auto flush = [&] {
     if (buffer.empty()) return;
     auto f0 = Clock::now();
-    buffer.SortByTimeOrder(sort_scratch);
+    // The chunk workers are idle between batches: the sort borrows them.
+    buffer.SortByTimeOrder(sort_scratch, &pool);
     if (timings) {
       const auto f1 = Clock::now();
       timings->sort_s += std::chrono::duration<double>(f1 - f0).count();

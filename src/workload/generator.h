@@ -62,7 +62,7 @@ struct ColumnarWorkload {
 /// Per-stage generation timings + pooled-scratch growth counters (the
 /// allocation diagnostic: steady-state generation should stop growing after
 /// warm-up). plan/emit are CPU seconds summed across workers; sort/write
-/// are wall seconds of the serial stages.
+/// are wall seconds (the sort runs on the pool, the writes on one thread).
 struct GenTimings {
   double plan_s = 0;   ///< population build + per-user session planning
   double emit_s = 0;   ///< record emission (batched draws + column stores)
@@ -148,7 +148,7 @@ class WorkloadGenerator {
   /// the emitted record columns — in global time order when `sort_trace`
   /// is true, else in user-ordered emission order (the caller sorts via
   /// RecordColumns::TimeOrderPerm, fusing sort with its own gather).
-  [[nodiscard]] Workload PlanAndEmit(RecordColumns* trace,
+  [[nodiscard]] Workload PlanAndEmit(ThreadPool& pool, RecordColumns* trace,
                                      GenTimings* timings,
                                      bool sort_trace = true) const;
 

@@ -1,5 +1,5 @@
 // Tests for the trace layer: record serialization, CSV/binary IO, filters,
-// anonymization, and the CSV tokenizer.
+// anonymization, the CSV tokenizer, and the columnar time-order sort.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,7 +13,9 @@
 #include "trace/log_io.h"
 #include "trace/log_record.h"
 #include "trace/partitioned_trace.h"
+#include "trace/record_columns.h"
 #include "util/csv.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 #include "util/timeutil.h"
 
@@ -426,6 +428,65 @@ TEST(LogIo, V2FileInfoValidatesFullExpectedLength) {
   std::filesystem::resize_file(path, std::filesystem::file_size(path) - 1);
   EXPECT_THROW((void)detail::ReadV2FileInfo(path), ParseError);
   std::filesystem::remove(path);
+}
+
+/// Shuffled records with ties at every key level, in `runs` user-ordered
+/// runs as the generator's shards emit them.
+std::vector<RecordColumns> TieHeavyRuns(std::size_t n, std::size_t runs) {
+  Rng rng(41);
+  std::vector<RecordColumns> out(runs);
+  for (std::size_t i = 0; i < n; ++i) {
+    LogRecord r = MakeRecord(
+        1404172800 + static_cast<UnixSeconds>(rng.UniformInt(5000)),
+        rng.UniformInt(400), rng.Bernoulli(0.5) ? Direction::kStore
+                                                : Direction::kRetrieve);
+    r.device_id = rng.UniformInt(3);
+    r.data_volume = i;  // row identity, so a misplaced tie shows
+    r.processing_time = static_cast<double>(i % 1000) * 0.25;
+    out[i * runs / n].Append(r);
+  }
+  return out;
+}
+
+TEST(RecordColumns, SortByTimeOrderIsIdenticalWithAndWithoutAPool) {
+  // Above the parallel cutoff, and not a multiple of any pool size used.
+  const std::size_t n = 3 * StableRadixSorter::kParallelMinN + 7;
+  std::vector<RecordColumns> runs = TieHeavyRuns(n, 3);
+  RecordColumns want;
+  for (const RecordColumns& run : runs) want.AppendCopy(run);
+  std::vector<LogRecord> records;
+  for (std::size_t i = 0; i < want.size(); ++i)
+    records.push_back(want.RecordAt(i));
+  RecordColumnsScratch scratch;
+  const std::vector<LogRecord> permuted =
+      want.ToRecords(want.TimeOrderPerm(scratch));
+  want.SortByTimeOrder(scratch);
+  std::stable_sort(records.begin(), records.end(), LogRecordTimeOrder);
+  ASSERT_EQ(permuted, records);
+  ASSERT_EQ(TraceFingerprint(want), TraceFingerprint(records));
+
+  for (const int threads : {1, 2, 3, 4, 7}) {
+    ThreadPool pool(threads);
+    std::vector<RecordColumns> copies = runs;
+    RecordColumns got;
+    got.AppendAll(copies, &pool);
+    for (const RecordColumns& run : copies) EXPECT_TRUE(run.empty());
+    EXPECT_EQ(got.ToRecords(got.TimeOrderPerm(scratch, &pool), &pool),
+              records)
+        << threads << " threads";
+    got.SortByTimeOrder(scratch, &pool);
+    EXPECT_EQ(got.timestamps, want.timestamps) << threads << " threads";
+    EXPECT_EQ(got.device_types, want.device_types);
+    EXPECT_EQ(got.device_ids, want.device_ids);
+    EXPECT_EQ(got.user_ids, want.user_ids);
+    EXPECT_EQ(got.request_types, want.request_types);
+    EXPECT_EQ(got.directions, want.directions);
+    EXPECT_EQ(got.data_volumes, want.data_volumes);
+    EXPECT_EQ(got.processing_times, want.processing_times);
+    EXPECT_EQ(got.server_times, want.server_times);
+    EXPECT_EQ(got.avg_rtts, want.avg_rtts);
+    EXPECT_EQ(got.proxied, want.proxied);
+  }
 }
 
 }  // namespace

@@ -66,14 +66,17 @@
 // to the resident run.
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <map>
 #include <optional>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -96,6 +99,14 @@ namespace {
 
 using namespace mcloud;
 
+/// A numeric flag whose value is not a number of the flag's type; main
+/// reports it and exits 2.
+struct InvalidFlag : std::invalid_argument {
+  explicit InvalidFlag(const std::string& key, const std::string& value)
+      : std::invalid_argument("invalid value for --" + key + ": '" + value +
+                              "'") {}
+};
+
 /// Minimal flag parser: --key value pairs plus positional arguments.
 struct Args {
   std::map<std::string, std::string> flags;
@@ -109,17 +120,41 @@ struct Args {
   [[nodiscard]] bool Has(const std::string& key) const {
     return flags.count(key) > 0;
   }
+  /// The flag as a whole decimal number of unsigned range that fits T, or
+  /// `fallback` when the flag is absent; anything else throws InvalidFlag.
+  template <typename T>
+  [[nodiscard]] T GetUnsigned(const std::string& key, T fallback) const {
+    const auto it = flags.find(key);
+    if (it == flags.end()) return fallback;
+    const std::string& s = it->second;
+    std::uint64_t v = 0;
+    const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+    if (s.empty() || ec != std::errc() || end != s.data() + s.size() ||
+        v > static_cast<std::uint64_t>(std::numeric_limits<T>::max()))
+      throw InvalidFlag(key, s);
+    return static_cast<T>(v);
+  }
   [[nodiscard]] std::uint64_t GetU64(const std::string& key,
                                      std::uint64_t fallback) const {
-    const auto it = flags.find(key);
-    return it == flags.end() ? fallback
-                             : std::strtoull(it->second.c_str(), nullptr, 10);
+    return GetUnsigned<std::uint64_t>(key, fallback);
   }
+  /// --threads: 0 (the default) means every hardware thread.
+  [[nodiscard]] int GetThreads() const {
+    return GetUnsigned<int>("threads", 0);
+  }
+  /// The flag as a whole finite decimal number, or `fallback` when absent;
+  /// anything else throws InvalidFlag.
   [[nodiscard]] double GetDouble(const std::string& key,
                                  double fallback) const {
     const auto it = flags.find(key);
-    return it == flags.end() ? fallback
-                             : std::strtod(it->second.c_str(), nullptr);
+    if (it == flags.end()) return fallback;
+    const std::string& s = it->second;
+    double v = 0;
+    const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+    if (s.empty() || ec != std::errc() || end != s.data() + s.size() ||
+        !std::isfinite(v))
+      throw InvalidFlag(key, s);
+    return v;
   }
 };
 
@@ -275,7 +310,7 @@ int CmdGenerate(const Args& args) {
     const scenario::WorkloadSpec spec =
         scenario::LoadSpec(args.Get("spec"), args.Get("specs-dir"));
     cfg = scenario::Compile(spec, args.GetU64("seed", 42),
-                            static_cast<int>(args.GetU64("threads", 0)));
+                            args.GetThreads());
     cfg.population.mobile_users =
         args.GetU64("users", cfg.population.mobile_users);
     cfg.population.pc_only_users =
@@ -285,7 +320,7 @@ int CmdGenerate(const Args& args) {
     cfg.population.pc_only_users =
         args.GetU64("pc", cfg.population.mobile_users / 3);
     cfg.seed = args.GetU64("seed", 42);
-    cfg.threads = static_cast<int>(args.GetU64("threads", 0));
+    cfg.threads = args.GetThreads();
   }
 
   std::fprintf(stderr,
@@ -384,7 +419,7 @@ int CmdAnalyze(const Args& args) {
   if (!tau) return 2;
   core::PipelineOptions opts;
   opts.session_tau = *tau;
-  opts.threads = static_cast<int>(args.GetU64("threads", 0));
+  opts.threads = args.GetThreads();
   opts.max_memory_mb =
       static_cast<std::size_t>(args.GetU64("max-memory-mb", 0));
   const core::AnalysisPipeline pipeline(opts);
@@ -421,7 +456,7 @@ int CmdGrow(const Args& args) {
   cfg.population.pc_only_users =
       args.GetU64("pc", cfg.population.mobile_users / 3);
   cfg.seed = args.GetU64("seed", 42);
-  cfg.threads = static_cast<int>(args.GetU64("threads", 0));
+  cfg.threads = args.GetThreads();
 
   std::filesystem::create_directories(args.positional[0]);
   const std::uint64_t budget_mb =
@@ -538,14 +573,14 @@ int CmdSimulateFleet(const Args& args) {
   wcfg.population.pc_only_users =
       args.GetU64("pc", wcfg.population.mobile_users / 3);
   wcfg.seed = args.GetU64("seed", 42);
-  const auto w = workload::WorkloadGenerator(wcfg).GeneratePlansOnly();
 
   cloud::FleetConfig cfg;
   cfg.service.faults = FaultsFrom(args);
   if (args.Has("no-retry")) cfg.service.retry = fault::RetryPolicy::None();
   if (args.Has("hedge")) cfg.service.retry.hedge = true;
-  cfg.shards = static_cast<std::uint32_t>(args.GetU64("shards", cfg.shards));
-  cfg.threads = static_cast<int>(args.GetU64("threads", 0));
+  cfg.shards = args.GetUnsigned<std::uint32_t>("shards", cfg.shards);
+  cfg.threads = args.GetThreads();
+  const auto w = workload::WorkloadGenerator(wcfg).GeneratePlansOnly();
 
   std::fprintf(stderr,
                "simulating %zu sessions (%u shards): fail-rate %.3f, "
@@ -647,7 +682,7 @@ int CmdConform(const Args& args) {
       scenario::LoadSpec(args.positional[0], args.Get("specs-dir"));
   scenario::ConformanceOptions opts;
   opts.seed = args.GetU64("seed", opts.seed);
-  opts.threads = static_cast<int>(args.GetU64("threads", 0));
+  opts.threads = args.GetThreads();
   opts.users_override = args.GetU64("users", 0);
   opts.out_of_core = args.Has("out-of-core");
   opts.spill_dir = args.Get("spill-dir");
@@ -682,8 +717,8 @@ int CmdMatrix(const Args& args) {
   if (args.Has("chunks")) opts.chunk_policies = SplitList(args.Get("chunks"));
   opts.users = args.GetU64("users", 0);
   opts.seed = args.GetU64("seed", opts.seed);
-  opts.threads = static_cast<int>(args.GetU64("threads", 0));
-  opts.shards = static_cast<std::uint32_t>(args.GetU64("shards", opts.shards));
+  opts.threads = args.GetThreads();
+  opts.shards = args.GetUnsigned<std::uint32_t>("shards", opts.shards);
   opts.specs_dir = args.Get("specs-dir");
   const scenario::MatrixReport report = scenario::RunMatrix(opts);
   std::fputs(scenario::RenderText(report).c_str(), stdout);
@@ -711,10 +746,10 @@ int CmdValidate(const Args& args) {
     opts.users = args.GetU64("users", opts.users);
   }
   opts.seed = args.GetU64("seed", opts.seed);
-  opts.threads = static_cast<int>(args.GetU64("threads", 0));
+  opts.threads = args.GetThreads();
   opts.fleet_flows = args.GetU64("flows", opts.fleet_flows);
   opts.fleet_shards =
-      static_cast<std::uint32_t>(args.GetU64("shards", opts.fleet_shards));
+      args.GetUnsigned<std::uint32_t>("shards", opts.fleet_shards);
   opts.out_of_core = args.Has("out-of-core");
   opts.concurrent = args.Has("concurrent");
   opts.max_memory_mb = static_cast<std::size_t>(
@@ -781,6 +816,9 @@ int main(int argc, char** argv) {
       Usage();
       return 0;
     }
+  } catch (const InvalidFlag& e) {
+    std::fprintf(stderr, "mcloudctl: %s\n", e.what());
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "mcloudctl: %s\n", e.what());
     return 1;
