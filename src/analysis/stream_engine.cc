@@ -162,7 +162,7 @@ void StreamingPerUserPass::Consume(const TraceRowBlock& block) {
   // Row (= time) order: every column is read sequentially and the per-user
   // state lives in dense arrays, instead of gathering each user's rows from
   // all over the store. Within one user, row order equals run order, so
-  // each cursor sees the exact record sequence SessionizeRange folds.
+  // each cursor sees the exact record sequence Sessionize folds.
   for (std::size_t row = 0; row < block.rows(); ++row) {
     const std::uint32_t u = block.users[row];
     const std::uint64_t user_id = user_ids_[u];

@@ -43,10 +43,10 @@ namespace mcloud::analysis {
 /// Row-order results: Fig 1 series, Fig 3 sketch, §2.2 counts.
 struct RowPassResult {
   WorkloadTimeseries timeseries;
-  /// Inter-file-operation gaps of mobile users as the jitter-binned log10
-  /// sketch — the exact sketch AddInterOpIntervalsToSketch(mobile view)
-  /// builds, and mergeable across trace slices (the jitter is a stateless
-  /// hash of (user, timestamp) and per-bin sums are integer-exact).
+  /// Inter-file-operation gaps of mobile users (InterOpIntervals over the
+  /// mobile records) as the jitter-binned log10 sketch, mergeable across
+  /// trace slices (the jitter is a stateless hash of (user, timestamp) and
+  /// per-bin sums are integer-exact).
   LogBins intervals = MakeIntervalSketch();
   std::size_t mobile_records = 0;
   std::size_t android_records = 0;
@@ -143,7 +143,7 @@ class StreamingPerUserPass {
 
  private:
   /// Open-session state for one user — the columnar twin of
-  /// Sessionizer::SessionizeRange's OpenSession.
+  /// Sessionizer::Sessionize's OpenSession.
   struct SessionCursor {
     Session s;
     std::int64_t last_file_op = 0;

@@ -2,11 +2,8 @@
 // volumes, the volume-ratio CDFs, and the four-class user taxonomy.
 #pragma once
 
-#include <algorithm>
 #include <array>
 #include <span>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "model/paper_params.h"
@@ -38,49 +35,6 @@ struct UserUsage {
 
   [[nodiscard]] paper::UserClass Classify() const;
 };
-
-/// Build per-user usage from any forward range of LogRecord — a trace
-/// vector/span or an index-based TraceView (no record copies).
-template <typename Range>
-[[nodiscard]] std::vector<UserUsage> BuildUserUsageFrom(
-    const Range& records) {
-  std::unordered_map<std::uint64_t, UserUsage> by_user;
-  std::unordered_map<std::uint64_t, std::unordered_set<std::uint64_t>>
-      mobile_devices;
-
-  for (const LogRecord& r : records) {
-    UserUsage& u = by_user[r.user_id];
-    u.user_id = r.user_id;
-    if (r.IsMobile()) {
-      mobile_devices[r.user_id].insert(r.device_id);
-    } else {
-      u.uses_pc = true;
-    }
-    if (r.request_type == RequestType::kFileOperation) {
-      (r.direction == Direction::kStore ? u.stored_files
-                                        : u.retrieved_files)++;
-    } else {
-      (r.direction == Direction::kStore ? u.store_volume
-                                        : u.retrieve_volume) += r.data_volume;
-    }
-  }
-
-  std::vector<UserUsage> out;
-  out.reserve(by_user.size());
-  for (auto& [id, usage] : by_user) {
-    if (const auto it = mobile_devices.find(id); it != mobile_devices.end())
-      usage.mobile_devices = it->second.size();
-    out.push_back(usage);
-  }
-  // Canonical ascending-user order: downstream consumers sum in vector
-  // order, and the columnar engine emits this order natively — sorting here
-  // makes both paths bit-identical (and the result hash-order independent).
-  std::sort(out.begin(), out.end(),
-            [](const UserUsage& a, const UserUsage& b) {
-              return a.user_id < b.user_id;
-            });
-  return out;
-}
 
 /// Build per-user usage from a (mobile + PC) trace.
 [[nodiscard]] std::vector<UserUsage> BuildUserUsage(

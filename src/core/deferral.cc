@@ -1,6 +1,7 @@
 #include "core/deferral.h"
 
 #include <algorithm>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "util/error.h"

@@ -9,12 +9,9 @@
 #include <mutex>
 #include <optional>
 #include <thread>
-#include <unordered_set>
 #include <utility>
 
-#include "analysis/sessionizer.h"
 #include "analysis/stream_engine.h"
-#include "trace/filters.h"
 #include "util/error.h"
 #include "util/parallel.h"
 #include "util/units.h"
@@ -28,10 +25,11 @@ double Since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-/// The stages both engines share once the sessions and usage tables exist.
+/// The per-user stages, run once the sessions and usage tables exist.
 /// Every input is read-only and every stage writes disjoint report fields,
 /// so the stages run concurrently; inputs are canonical (ascending user /
-/// (user, begin) order), making the outputs engine-independent bit for bit.
+/// (user, begin) order), making the outputs source-, slice- and
+/// thread-count-independent bit for bit.
 void RunSharedStages(ThreadPool& pool, const PipelineOptions& options,
                      const std::vector<analysis::UserUsage>& usage,
                      const std::vector<analysis::UserUsage>& mobile_usage,
@@ -57,7 +55,7 @@ void RunSharedStages(ThreadPool& pool, const PipelineOptions& options,
                 usage, analysis::DeviceProfile::kPcOnly);
             // Fig 7a counters: RatioSample's membership tests, without
             // materializing the sample (usage is canonical, so the counts
-            // are engine- and thread-count-independent).
+            // are source- and thread-count-independent).
             for (const analysis::UserUsage& u : usage) {
               if (!u.MobileOnly()) continue;
               if (u.store_volume == 0 && u.retrieve_volume == 0) continue;
@@ -225,8 +223,8 @@ Walked Walk(const PipelineOptions& options, const RowSource& src,
   return w;
 }
 
-/// The tail every engine but RunAos shares: overview fields, the interval
-/// model, then the per-user stages.
+/// The tail every entry point shares: overview fields, the interval model,
+/// then the per-user stages.
 FullReport Tail(const PipelineOptions& options, std::size_t records,
                 Walked w, ThreadPool& pool, StageTimings& t) {
   FullReport report;
@@ -289,124 +287,6 @@ FullReport AnalysisPipeline::Run(const TraceStore& store,
 FullReport AnalysisPipeline::RunStreaming(const PartitionedTrace& trace,
                                           StageTimings* timings) const {
   return Drive(options_, SourceOf(trace, options_.max_memory_mb), timings);
-}
-
-// The legacy AoS engine. The §3 analyses form a small dependency DAG:
-// everything below reads the trace (or its mobile slice) and writes
-// disjoint FullReport fields, so the independent stages of each phase run
-// concurrently on the pool. Only two order edges exist: τ (phase 1,
-// interval model) gates both sessionizations, and the shared stages need
-// the usage tables and sessions. Every stage is a pure function of
-// read-only inputs, so the report is identical for every thread count.
-FullReport AnalysisPipeline::RunAos(std::span<const LogRecord> trace,
-                                    StageTimings* timings) const {
-  MCLOUD_REQUIRE(!trace.empty(), "empty trace");
-  const auto t_total = Clock::now();
-  StageTimings t;
-  ThreadPool pool(ClampThreadsToHardware(options_.threads));
-  FullReport report;
-
-  // Mobile slice as an index view: 4 bytes per record instead of a full
-  // LogRecord copy — the §3.1 stages only ever stream over it.
-  const TraceView mobile = MobileOnlyView(trace);
-
-  // Cross-phase intermediates.
-  Seconds tau = 0;
-  std::vector<analysis::UserUsage> usage;
-  std::vector<analysis::UserUsage> mobile_usage;
-  double t_overview = 0;
-  double t_interval_scan = 0;
-  double t_interval_fit = 0;
-  double t_usage = 0;
-  double t_mobile_usage = 0;
-
-  // --- Phase 1: stages that depend only on the trace / mobile slice.
-  ParallelInvoke(
-      pool,
-      {
-          [&] {
-            // Dataset overview (§2.2; mobile figures count mobile records
-            // only) and the Fig 1 workload pattern (§2.4), in one pass each.
-            const auto t0 = Clock::now();
-            report.records = trace.size();
-            std::unordered_set<std::uint64_t> users;
-            std::unordered_set<std::uint64_t> devices;
-            std::size_t android = 0;
-            for (const LogRecord& r : mobile) {
-              users.insert(r.user_id);
-              devices.insert(r.device_id);
-              if (r.device_type == DeviceType::kAndroid) ++android;
-            }
-            report.mobile_users = users.size();
-            report.mobile_devices = devices.size();
-            report.android_access_share =
-                mobile.empty() ? 0
-                               : static_cast<double>(android) /
-                                     static_cast<double>(mobile.size());
-            report.timeseries = analysis::BuildTimeseriesFrom(
-                mobile, options_.trace_start, options_.days);
-            t_overview = Since(t0);
-          },
-          [&] {
-            // Interval model (§3.1.1) and the τ every sessionization uses.
-            auto t0 = Clock::now();
-            LogBins intervals = analysis::MakeIntervalSketch();
-            analysis::AddInterOpIntervalsToSketch(mobile, intervals);
-            t_interval_scan = Since(t0);
-            t0 = Clock::now();
-            report.interval_model = analysis::FitIntervalModel(intervals);
-            report.sketches.intervals = std::move(intervals);
-            t_interval_fit = Since(t0);
-            tau = options_.session_tau > 0 ? options_.session_tau
-                                           : report.interval_model.valley_tau;
-          },
-          [&] {
-            // Usage patterns (§3.2) need the full mobile+PC view.
-            const auto t0 = Clock::now();
-            usage = analysis::BuildUserUsage(trace);
-            t_usage = Since(t0);
-          },
-          [&] {
-            // Per-user activity counts (§3.2.3) over mobile records only.
-            const auto t0 = Clock::now();
-            mobile_usage = analysis::BuildUserUsageFrom(mobile);
-            t_mobile_usage = Since(t0);
-          },
-      });
-  t.scan_s += t_overview + t_interval_scan;
-  t.fits_s += t_interval_fit;
-  t.per_user_s += t_usage + t_mobile_usage;
-
-  // --- Phase 2: session identification (needs τ).
-  const analysis::Sessionizer sessionizer(tau);
-  std::vector<analysis::Session> mobile_sessions;
-  std::vector<analysis::Session> all_sessions;
-  double t_sessionize_mobile = 0;
-  double t_sessionize_all = 0;
-  ParallelInvoke(pool,
-                 {
-                     [&] {
-                       const auto t0 = Clock::now();
-                       mobile_sessions = sessionizer.SessionizeRange(mobile);
-                       t_sessionize_mobile = Since(t0);
-                     },
-                     [&] {
-                       // Engagement counts PC sessions as activity too.
-                       const auto t0 = Clock::now();
-                       all_sessions = sessionizer.Sessionize(trace);
-                       t_sessionize_all = Since(t0);
-                     },
-                 });
-  t.sessionize_s += t_sessionize_mobile + t_sessionize_all;
-
-  // --- Phase 3: per-session figures, return curves, and the fits. The two
-  // file-size EM fits are the heaviest stages of the whole pipeline; they
-  // run concurrently with each other and with everything else here.
-  RunSharedStages(pool, options_, usage, mobile_usage, all_sessions,
-                  mobile_sessions, report, t.per_user_s, t.fits_s);
-  t.total_s = Since(t_total);
-  if (timings) *timings = t;
-  return report;
 }
 
 // The analyze-while-generate engine. The producer (typically

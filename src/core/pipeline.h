@@ -2,16 +2,16 @@
 // FullReport out. This is the primary public entry point of the library for
 // log-analysis consumers (see examples/quickstart.cpp).
 //
-// Every entry point but RunAos drives the same two streaming cores
+// Every entry point drives the same two streaming cores
 // (analysis/stream_engine.h) through one private walk driver over a row
 // source — a resident TraceStore (its day partitions), a PartitionedTrace
 // (its Scan) or, in RunConcurrent, one TraceStore per generated slice —
 // followed by one shared tail of fits and per-user stages. Only
 // `session_tau` picks the walk plan: a fixed τ needs one walk over the
 // rows, the valley-derived τ (0) needs two, because sessionization waits
-// for the completed interval sketch. RunAos is the legacy per-stage engine
-// over the AoS records, kept as the equivalence baseline. All engines
-// produce the same FullReport, bit for bit.
+// for the completed interval sketch. All entry points produce the same
+// FullReport, bit for bit; pinned FingerprintReport goldens in the tests
+// hold them to it.
 #pragma once
 
 #include <cstddef>
@@ -55,8 +55,8 @@ struct StageTimings {
   /// derived, its own walk); the pass also builds the usage tables inside
   /// this number.
   double sessionize_s = 0;
-  /// Per-user aggregations: usage tables (AoS), Table 3 columns,
-  /// engagement curves, session statistics.
+  /// Per-user aggregations: Table 3 columns, engagement curves, session
+  /// statistics.
   double per_user_s = 0;
   /// Numeric fits: interval GMM, activity models, file-size EM mixtures.
   double fits_s = 0;
@@ -75,10 +75,6 @@ class AnalysisPipeline {
   /// Walks a prebuilt store's day partitions (needs kAnalysisColumns).
   [[nodiscard]] FullReport Run(const TraceStore& store,
                                StageTimings* timings = nullptr) const;
-
-  /// Legacy AoS engine; FullReport is bit-identical to the streaming paths.
-  [[nodiscard]] FullReport RunAos(std::span<const LogRecord> trace,
-                                  StageTimings* timings = nullptr) const;
 
   /// Streams a partitioned on-disk trace one calendar-day partition at a
   /// time, under the `max_memory_mb` staging budget: one disk scan at a

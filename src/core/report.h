@@ -86,8 +86,8 @@ struct FullReport {
 
 /// Order-sensitive FNV-1a hash over every field of the report (doubles by
 /// bit pattern). Two reports fingerprint equal iff they are bit-identical —
-/// the equivalence oracle for the columnar vs AoS engines and for thread
-/// sweeps.
+/// the equivalence oracle across entry points, thread counts and pinned
+/// goldens.
 [[nodiscard]] std::uint64_t FingerprintReport(const FullReport& report);
 
 }  // namespace mcloud::core

@@ -1,24 +1,16 @@
-// Record-level filters and per-user grouping over traces.
+// Record-level filters over traces.
 //
-// The paper's analyses slice the trace several ways: mobile-only records for
-// §3.1, proxied requests removed for §4, per-user request streams everywhere.
-// These helpers are the shared slicing vocabulary.
-//
-// Two slicing forms exist. `Filter` materializes a new vector (exact-sized:
-// it counts before it copies). `TraceView` is an index-based view over the
-// base trace — 4 bytes per selected record instead of a full LogRecord copy
-// — for the streaming consumers in the analysis pipeline that only ever
-// iterate their slice once (see AnalysisPipeline::Run).
+// The figure benches slice the trace before running one analysis on it:
+// mobile-only records for §3.1, for instance. `Filter` materializes the
+// slice as a new vector (exact-sized: it counts before it copies); the
+// analysis pipeline itself never copies records, it walks the columnar
+// store (see AnalysisPipeline::Run).
 #pragma once
 
-#include <cstdint>
-#include <iterator>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "trace/log_record.h"
-#include "util/error.h"
 
 namespace mcloud {
 
@@ -39,115 +31,8 @@ template <typename Pred>
   return out;
 }
 
-/// Index-based slice of a trace: the selected records in base order, without
-/// copying them. Iteration yields `const LogRecord&`; the base span must
-/// outlive the view. Indices are 32-bit — ample for the paper-scale 349M
-/// records and half the footprint of 64-bit offsets.
-class TraceView {
- public:
-  TraceView() = default;
-  TraceView(std::span<const LogRecord> base, std::vector<std::uint32_t> index)
-      : base_(base), index_(std::move(index)) {}
-
-  /// Build a view of all records matching `pred`.
-  template <typename Pred>
-  [[nodiscard]] static TraceView Of(std::span<const LogRecord> base,
-                                    Pred&& pred) {
-    MCLOUD_REQUIRE(base.size() <= UINT32_MAX, "trace too large for TraceView");
-    std::size_t n = 0;
-    for (const auto& r : base) {
-      if (pred(r)) ++n;
-    }
-    std::vector<std::uint32_t> index;
-    index.reserve(n);
-    for (std::size_t i = 0; i < base.size(); ++i) {
-      if (pred(base[i])) index.push_back(static_cast<std::uint32_t>(i));
-    }
-    return TraceView(base, std::move(index));
-  }
-
-  class iterator {
-   public:
-    using iterator_category = std::forward_iterator_tag;
-    using value_type = LogRecord;
-    using difference_type = std::ptrdiff_t;
-    using pointer = const LogRecord*;
-    using reference = const LogRecord&;
-
-    iterator() = default;
-    iterator(const LogRecord* base, const std::uint32_t* pos)
-        : base_(base), pos_(pos) {}
-
-    reference operator*() const { return base_[*pos_]; }
-    pointer operator->() const { return &base_[*pos_]; }
-    iterator& operator++() {
-      ++pos_;
-      return *this;
-    }
-    iterator operator++(int) {
-      iterator old = *this;
-      ++pos_;
-      return old;
-    }
-    friend bool operator==(const iterator& a, const iterator& b) {
-      return a.pos_ == b.pos_;
-    }
-
-   private:
-    const LogRecord* base_ = nullptr;
-    const std::uint32_t* pos_ = nullptr;
-  };
-
-  [[nodiscard]] iterator begin() const {
-    return {base_.data(), index_.data()};
-  }
-  [[nodiscard]] iterator end() const {
-    return {base_.data(), index_.data() + index_.size()};
-  }
-  [[nodiscard]] std::size_t size() const { return index_.size(); }
-  [[nodiscard]] bool empty() const { return index_.empty(); }
-  [[nodiscard]] const LogRecord& operator[](std::size_t i) const {
-    return base_[index_[i]];
-  }
-
- private:
-  std::span<const LogRecord> base_;
-  std::vector<std::uint32_t> index_;
-};
-
-/// Index view of the mobile (Android + iOS) records.
-[[nodiscard]] TraceView MobileOnlyView(std::span<const LogRecord> trace);
-
 /// Records from mobile devices only (Android + iOS).
 [[nodiscard]] std::vector<LogRecord> MobileOnly(
-    std::span<const LogRecord> trace);
-
-/// Records not behind an HTTP proxy — required before any RTT/throughput
-/// analysis (§4: "we filtered out those requests that were proxied").
-[[nodiscard]] std::vector<LogRecord> Unproxied(
-    std::span<const LogRecord> trace);
-
-/// Chunk requests only / file operations only.
-[[nodiscard]] std::vector<LogRecord> ChunksOnly(
-    std::span<const LogRecord> trace);
-[[nodiscard]] std::vector<LogRecord> FileOperationsOnly(
-    std::span<const LogRecord> trace);
-
-/// Group a time-sorted trace by user; each user's records stay time-sorted.
-[[nodiscard]] std::unordered_map<std::uint64_t, std::vector<LogRecord>>
-GroupByUser(std::span<const LogRecord> trace);
-
-/// Distinct users / devices in a trace.
-[[nodiscard]] std::size_t CountDistinctUsers(std::span<const LogRecord> trace);
-[[nodiscard]] std::size_t CountDistinctDevices(
-    std::span<const LogRecord> trace);
-
-/// Per-user sets of device types seen, for the mobile&PC splits of §3.2.
-struct UserDevices {
-  std::size_t mobile_devices = 0;  ///< distinct mobile device ids
-  bool uses_pc = false;
-};
-[[nodiscard]] std::unordered_map<std::uint64_t, UserDevices> DevicesPerUser(
     std::span<const LogRecord> trace);
 
 }  // namespace mcloud

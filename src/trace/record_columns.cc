@@ -109,15 +109,6 @@ LogRecord RecordColumns::RecordAt(std::size_t i) const {
   return r;
 }
 
-std::vector<LogRecord> RecordColumns::ToRecords(
-    std::span<const std::uint32_t> perm, ThreadPool* pool) const {
-  std::vector<LogRecord> out(perm.size());
-  ForRowBlocks(pool, perm.size(), [&](std::size_t begin, std::size_t end) {
-    for (std::size_t j = begin; j < end; ++j) out[j] = RecordAt(perm[j]);
-  });
-  return out;
-}
-
 void RecordColumns::AppendAll(std::span<RecordColumns> runs,
                               ThreadPool* pool) {
   if (empty() && capacity() == 0 && runs.size() == 1) {

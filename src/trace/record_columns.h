@@ -66,12 +66,6 @@ struct RecordColumns {
   void Append(const LogRecord& r);
   /// Materialize row i as a LogRecord (resilience tags at defaults).
   [[nodiscard]] LogRecord RecordAt(std::size_t i) const;
-  /// Materialize rows in permutation order — RecordAt(perm[0]),
-  /// RecordAt(perm[1]), ... The resident Generate path fuses its final
-  /// time-order sort with the AoS transpose this way, skipping the
-  /// 11-column gather entirely. With a pool, row blocks fill in parallel.
-  [[nodiscard]] std::vector<LogRecord> ToRecords(
-      std::span<const std::uint32_t> perm, ThreadPool* pool = nullptr) const;
 
   /// Append the rows of every run, in run order, leaving the runs empty.
   /// When this buffer is empty and there is one run, steals its storage

@@ -51,8 +51,7 @@ WorkloadGenerator::WorkloadGenerator(const WorkloadConfig& config)
     : config_(config) {}
 
 Workload WorkloadGenerator::PlanAndEmit(ThreadPool& pool, RecordColumns* trace,
-                                        GenTimings* timings,
-                                        bool sort_trace) const {
+                                        GenTimings* timings) const {
   const bool emit_logs = trace != nullptr;
   Rng rng(config_.seed);
 
@@ -141,10 +140,8 @@ Workload WorkloadGenerator::PlanAndEmit(ThreadPool& pool, RecordColumns* trace,
 
   if (emit_logs) {
     trace->AppendAll(cols_runs, &pool);
-    if (sort_trace) {
-      RecordColumnsScratch sort_scratch;
-      trace->SortByTimeOrder(sort_scratch, &pool);
-    }
+    RecordColumnsScratch sort_scratch;
+    trace->SortByTimeOrder(sort_scratch, &pool);
   }
   if (timings) {
     timings->sort_s += Since(t0);
@@ -159,22 +156,8 @@ Workload WorkloadGenerator::PlanAndEmit(ThreadPool& pool, RecordColumns* trace,
 }
 
 Workload WorkloadGenerator::Generate(GenTimings* timings) const {
-  const auto t0 = Clock::now();
-  ThreadPool pool(config_.threads);
-  RecordColumns cols;
-  Workload w = PlanAndEmit(pool, &cols, timings, /*sort_trace=*/false);
-  // Fuse the time-order sort with the AoS transpose: gather straight from
-  // the unsorted columns through the stable permutation. Identical bytes to
-  // sorting the columns first and transposing row by row, one full
-  // materialization pass cheaper.
-  const auto s0 = Clock::now();
-  RecordColumnsScratch sort_scratch;
-  w.trace = cols.ToRecords(cols.TimeOrderPerm(sort_scratch, &pool), &pool);
-  if (timings) {
-    timings->sort_s += Since(s0);
-    timings->total_s += Since(t0);
-  }
-  return w;
+  ColumnarWorkload c = GenerateColumnar(timings);
+  return {std::move(c.users), std::move(c.sessions), c.trace.ToRecords()};
 }
 
 ColumnarWorkload WorkloadGenerator::GenerateColumnar(

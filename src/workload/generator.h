@@ -103,12 +103,13 @@ class WorkloadGenerator {
  public:
   explicit WorkloadGenerator(const WorkloadConfig& config);
 
-  /// Generate the full workload: users, plans, and the emitted trace.
+  /// Generate the full workload: users, plans, and the emitted trace as
+  /// records — GenerateColumnar() followed by TraceStore::ToRecords(), for
+  /// callers that need LogRecords. `timings` covers the columnar part.
   [[nodiscard]] Workload Generate(GenTimings* timings = nullptr) const;
 
-  /// Generate the workload with the trace in columnar form. The store holds
-  /// exactly the records Generate() would produce (same seed, same streams);
-  /// `store.ToRecords()` is byte-identical to `Generate().trace`.
+  /// Generate the workload with the trace in columnar form: the time-sorted
+  /// record columns move into the store, so no AoS trace ever exists.
   [[nodiscard]] ColumnarWorkload GenerateColumnar(
       GenTimings* timings = nullptr) const;
 
@@ -145,12 +146,9 @@ class WorkloadGenerator {
 
  private:
   /// Users + globally-sorted session plans; when `trace` is non-null, also
-  /// the emitted record columns — in global time order when `sort_trace`
-  /// is true, else in user-ordered emission order (the caller sorts via
-  /// RecordColumns::TimeOrderPerm, fusing sort with its own gather).
+  /// the emitted record columns in global time order.
   [[nodiscard]] Workload PlanAndEmit(ThreadPool& pool, RecordColumns* trace,
-                                     GenTimings* timings,
-                                     bool sort_trace = true) const;
+                                     GenTimings* timings) const;
 
   WorkloadConfig config_;
 };

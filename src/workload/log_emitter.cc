@@ -195,13 +195,4 @@ void FastLogEmitter::EmitSessionColumnar(const SessionPlan& session, Rng& rng,
   }
 }
 
-std::vector<LogRecord> FastLogEmitter::Emit(
-    std::span<const SessionPlan> sessions, Rng& rng) const {
-  std::vector<LogRecord> out;
-  // ~3 chunk records per stored file on average; reserve generously.
-  out.reserve(sessions.size() * 8);
-  for (const auto& s : sessions) EmitSession(s, rng, out);
-  return out;
-}
-
 }  // namespace mcloud::workload

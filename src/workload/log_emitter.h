@@ -8,13 +8,13 @@
 //
 // Two emission paths produce the identical record stream from the identical
 // RNG draws (pinned by tests):
-//   * EmitSession — scalar AoS reference path, one LogRecord per push_back.
+//   * EmitSession — scalar AoS reference path, one LogRecord per push_back
+//     (kept for the tests that pin the fast path against it).
 //   * EmitSessionColumnar — the fast path: all post-connection draws of a
 //     session are standard normals, so one batched FillNormal supplies the
 //     whole session and fields are stored straight into SoA columns.
 #pragma once
 
-#include <span>
 #include <vector>
 
 #include "trace/log_record.h"
@@ -43,11 +43,6 @@ class FastLogEmitter {
   /// normals as one batch.
   void EmitSessionColumnar(const SessionPlan& session, Rng& rng,
                            RecordColumns& out, EmitScratch& scratch) const;
-
-  /// Emit records for many sessions; the result is NOT time-sorted (callers
-  /// sort once after all sessions are emitted).
-  [[nodiscard]] std::vector<LogRecord> Emit(
-      std::span<const SessionPlan> sessions, Rng& rng) const;
 
   /// Effective application-level throughput (bytes/s) of a device for a
   /// direction, before per-session jitter.

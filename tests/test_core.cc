@@ -53,7 +53,6 @@ TEST(Pipeline, RenderFindingsMentionsKeyResults) {
 TEST(Pipeline, RejectsEmptyTrace) {
   const AnalysisPipeline pipeline;
   EXPECT_THROW((void)pipeline.Run(std::span<const LogRecord>{}), Error);
-  EXPECT_THROW((void)pipeline.RunAos(std::span<const LogRecord>{}), Error);
   EXPECT_THROW((void)pipeline.Run(TraceStore{}), Error);
 }
 

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <vector>
 
 #include "trace/anonymizer.h"
@@ -181,38 +182,9 @@ TEST(Filters, SliceByDeviceProxyAndType) {
   trace.push_back(proxied);
 
   EXPECT_EQ(MobileOnly(trace).size(), 3u);
-  EXPECT_EQ(Unproxied(trace).size(), 3u);
-  EXPECT_EQ(ChunksOnly(trace).size(), 3u);
-  EXPECT_EQ(FileOperationsOnly(trace).size(), 1u);
-  EXPECT_EQ(CountDistinctUsers(trace), 3u);
-  EXPECT_EQ(CountDistinctDevices(trace), 3u);
-}
-
-TEST(Filters, GroupByUserPreservesOrder) {
-  std::vector<LogRecord> trace;
-  for (int i = 0; i < 10; ++i)
-    trace.push_back(MakeRecord(kTraceStart + i, i % 2 + 1, Direction::kStore));
-  const auto groups = GroupByUser(trace);
-  ASSERT_EQ(groups.size(), 2u);
-  for (const auto& [user, records] : groups) {
-    for (std::size_t i = 1; i < records.size(); ++i)
-      EXPECT_LT(records[i - 1].timestamp, records[i].timestamp);
-  }
-}
-
-TEST(Filters, DevicesPerUser) {
-  std::vector<LogRecord> trace;
-  LogRecord a = MakeRecord(1, 1, Direction::kStore);
-  a.device_id = 100;
-  LogRecord b = MakeRecord(2, 1, Direction::kStore);
-  b.device_id = 101;
-  LogRecord c = MakeRecord(3, 1, Direction::kRetrieve,
-                           RequestType::kChunkRequest, DeviceType::kPc);
-  trace = {a, b, c};
-  const auto per_user = DevicesPerUser(trace);
-  ASSERT_EQ(per_user.size(), 1u);
-  EXPECT_EQ(per_user.at(1).mobile_devices, 2u);
-  EXPECT_TRUE(per_user.at(1).uses_pc);
+  EXPECT_EQ(Filter(trace, [](const LogRecord& r) { return !r.proxied; })
+                .size(),
+            3u);
 }
 
 TEST(Anonymizer, DeterministicAndKeyDependent) {
@@ -458,11 +430,10 @@ TEST(RecordColumns, SortByTimeOrderIsIdenticalWithAndWithoutAPool) {
   for (std::size_t i = 0; i < want.size(); ++i)
     records.push_back(want.RecordAt(i));
   RecordColumnsScratch scratch;
-  const std::vector<LogRecord> permuted =
-      want.ToRecords(want.TimeOrderPerm(scratch));
+  const std::span<const std::uint32_t> serial = want.TimeOrderPerm(scratch);
+  const std::vector<std::uint32_t> perm(serial.begin(), serial.end());
   want.SortByTimeOrder(scratch);
   std::stable_sort(records.begin(), records.end(), LogRecordTimeOrder);
-  ASSERT_EQ(permuted, records);
   ASSERT_EQ(TraceFingerprint(want), TraceFingerprint(records));
 
   for (const int threads : {1, 2, 3, 4, 7}) {
@@ -471,8 +442,7 @@ TEST(RecordColumns, SortByTimeOrderIsIdenticalWithAndWithoutAPool) {
     RecordColumns got;
     got.AppendAll(copies, &pool);
     for (const RecordColumns& run : copies) EXPECT_TRUE(run.empty());
-    EXPECT_EQ(got.ToRecords(got.TimeOrderPerm(scratch, &pool), &pool),
-              records)
+    EXPECT_TRUE(std::ranges::equal(got.TimeOrderPerm(scratch, &pool), perm))
         << threads << " threads";
     got.SortByTimeOrder(scratch, &pool);
     EXPECT_EQ(got.timestamps, want.timestamps) << threads << " threads";

@@ -1,19 +1,21 @@
 // Tests for the columnar TraceStore and the v2 columnar binary format:
 // dense user remapping, run/day indexes, AoS round-trips, selective column
-// reads, corrupt-file handling, and golden equivalence of the AoS and
-// columnar analysis engines.
+// reads, corrupt-file handling, and the pinned trace and FullReport
+// goldens every analysis entry point must reproduce.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <vector>
 
 #include "core/pipeline.h"
 #include "core/report.h"
 #include "trace/log_io.h"
 #include "trace/log_record.h"
+#include "trace/record_columns.h"
 #include "trace/trace_store.h"
 #include "util/timeutil.h"
 #include "workload/generator.h"
@@ -203,43 +205,38 @@ TEST(ColumnarIo, RejectsWrongFormatAndTruncation) {
   std::filesystem::remove(v2);
 }
 
-/// Golden equivalence: the columnar engine must reproduce the AoS engine's
-/// FullReport bit for bit, whatever the entry point and thread count.
-TEST(EngineEquivalence, ColumnarReportIsBitIdenticalToAos) {
+/// Pinned goldens: the 200 mobile / 60 PC-only user, seed-7 workload has a
+/// known trace, and the analysis of it a known FullReport at a fixed τ and
+/// at the valley-derived τ — through every entry point, at every thread
+/// count. A change to the generator or to any §3 stage moves one of them.
+TEST(EngineEquivalence, ReportsMatchPinnedGoldens) {
   workload::WorkloadConfig cfg;
   cfg.population.mobile_users = 200;
   cfg.population.pc_only_users = 60;
   cfg.seed = 7;
   const auto w = workload::WorkloadGenerator(cfg).Generate();
-  ASSERT_FALSE(w.trace.empty());
+  ASSERT_EQ(w.trace.size(), 71565u);
+  ASSERT_EQ(TraceFingerprint(std::span<const LogRecord>(w.trace)),
+            0xf3cec79bf6f4119eULL);
+  const auto store = TraceStore::FromRecords(w.trace);
 
-  core::PipelineOptions opts;
-  opts.threads = 1;
-  const auto golden =
-      core::FingerprintReport(core::AnalysisPipeline(opts).RunAos(w.trace));
-
-  for (const int threads : {1, 4}) {
-    core::PipelineOptions o;
-    o.threads = threads;
-    const core::AnalysisPipeline pipeline(o);
-    EXPECT_EQ(core::FingerprintReport(pipeline.RunAos(w.trace)), golden);
-    EXPECT_EQ(core::FingerprintReport(pipeline.Run(w.trace)), golden);
-    const auto store = TraceStore::FromRecords(w.trace);
-    EXPECT_EQ(core::FingerprintReport(pipeline.Run(store)), golden);
+  const struct {
+    Seconds tau;
+    std::uint64_t report;
+  } goldens[] = {{kHour, 0xc31b1092db9bd9f0ULL},
+                 {0, 0x19a0438323184cd0ULL}};  // 0 = valley-derived τ
+  for (const auto& g : goldens) {
+    for (const int threads : {1, 4}) {
+      core::PipelineOptions o;
+      o.session_tau = g.tau;
+      o.threads = threads;
+      const core::AnalysisPipeline pipeline(o);
+      EXPECT_EQ(core::FingerprintReport(pipeline.Run(w.trace)), g.report)
+          << "tau " << g.tau << ", " << threads << " threads";
+      EXPECT_EQ(core::FingerprintReport(pipeline.Run(store)), g.report)
+          << "tau " << g.tau << ", " << threads << " threads";
+    }
   }
-}
-
-TEST(EngineEquivalence, GenerateColumnarEmitsTheSameTrace) {
-  workload::WorkloadConfig cfg;
-  cfg.population.mobile_users = 120;
-  cfg.population.pc_only_users = 40;
-  cfg.seed = 9;
-  const auto aos = workload::WorkloadGenerator(cfg).Generate();
-  const auto columnar = workload::WorkloadGenerator(cfg).GenerateColumnar();
-
-  EXPECT_EQ(columnar.users.size(), aos.users.size());
-  EXPECT_EQ(columnar.sessions.size(), aos.sessions.size());
-  EXPECT_EQ(columnar.trace.ToRecords(), aos.trace);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 // diurnal pattern, and the fast log emitter.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <span>
 #include <unordered_set>
 #include <vector>
@@ -456,18 +457,63 @@ TEST(SessionModel, PlanUserIntoMatchesPlanUser) {
   }
 }
 
-TEST(Generator, ColumnarFingerprintMatchesRecords) {
-  // The representation-independent fingerprint agrees between the AoS
-  // records and the columnar store the fast path builds.
+TEST(Generator, ColumnarAndRecordFormsMatchPinnedGolden) {
+  // GenerateColumnar's store holds a known trace, and Generate() returns
+  // exactly its records, with the same users and plans.
   WorkloadConfig cfg;
   cfg.population.mobile_users = 150;
   cfg.population.pc_only_users = 50;
   cfg.seed = 7;
-  const auto w = WorkloadGenerator(cfg).Generate();
   const ColumnarWorkload cw = WorkloadGenerator(cfg).GenerateColumnar();
-  ASSERT_EQ(cw.trace.rows(), w.trace.size());
-  EXPECT_EQ(TraceFingerprint(std::span<const LogRecord>(w.trace)),
-            TraceFingerprint(cw.trace));
+  ASSERT_EQ(cw.trace.rows(), 47402u);
+  EXPECT_EQ(TraceFingerprint(cw.trace), 0xc7f4b628ced7e9faULL);
+  const auto w = WorkloadGenerator(cfg).Generate();
+  EXPECT_EQ(w.trace, cw.trace.ToRecords());
+  EXPECT_EQ(w.users.size(), cw.users.size());
+  EXPECT_EQ(w.sessions.size(), cw.sessions.size());
+}
+
+TEST(Generator, MatchesScalarReferencePath) {
+  // The fast path (pooled planning, batched columnar emission, one global
+  // radix sort on the pool) must emit exactly the trace of the plain
+  // composition it replaced: the population, then per user an independent
+  // Rng::ForStream(session_root, id) stream through PlanUser + the scalar
+  // EmitSession, then one std::stable_sort by LogRecordTimeOrder.
+  WorkloadConfig cfg;
+  cfg.population.mobile_users = 240;
+  cfg.population.pc_only_users = 80;
+  cfg.seed = 31;
+
+  Rng rng(cfg.seed);
+  const std::vector<UserProfile> users =
+      PopulationBuilder(cfg.population, cfg.model).Build(rng);
+  const std::uint64_t session_root = rng.NextU64();
+  SessionModelConfig smc;
+  smc.trace_start = cfg.trace_start;
+  smc.days = cfg.population.days;
+  smc.model = cfg.model;
+  const DiurnalPattern diurnal(cfg.model.hour_weights);
+  const SessionModel model(smc, diurnal);
+  const FastLogEmitter emitter;
+  std::vector<LogRecord> want;
+  std::size_t sessions = 0;
+  for (const UserProfile& user : users) {
+    Rng user_rng = Rng::ForStream(session_root, user.user_id);
+    for (const SessionPlan& s : model.PlanUser(user, user_rng)) {
+      emitter.EmitSession(s, user_rng, want);
+      ++sessions;
+    }
+  }
+  std::stable_sort(want.begin(), want.end(), LogRecordTimeOrder);
+  ASSERT_FALSE(want.empty());
+
+  for (const int threads : {1, 4}) {
+    cfg.threads = threads;
+    const Workload w = WorkloadGenerator(cfg).Generate();
+    EXPECT_EQ(w.users.size(), users.size()) << threads << " threads";
+    EXPECT_EQ(w.sessions.size(), sessions) << threads << " threads";
+    EXPECT_EQ(w.trace, want) << threads << " threads";
+  }
 }
 
 TEST(Generator, DeterministicForSeed) {

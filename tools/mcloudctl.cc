@@ -66,17 +66,13 @@
 // to the resident run.
 #include <algorithm>
 #include <cctype>
-#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <limits>
-#include <map>
 #include <optional>
 #include <set>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -95,68 +91,14 @@
 #include "validate/validator.h"
 #include "workload/generator.h"
 
+#include "cli_args.h"
+
 namespace {
 
 using namespace mcloud;
 
-/// A numeric flag whose value is not a number of the flag's type; main
-/// reports it and exits 2.
-struct InvalidFlag : std::invalid_argument {
-  explicit InvalidFlag(const std::string& key, const std::string& value)
-      : std::invalid_argument("invalid value for --" + key + ": '" + value +
-                              "'") {}
-};
-
-/// Minimal flag parser: --key value pairs plus positional arguments.
-struct Args {
-  std::map<std::string, std::string> flags;
-  std::vector<std::string> positional;
-
-  [[nodiscard]] std::string Get(const std::string& key,
-                                const std::string& fallback = "") const {
-    const auto it = flags.find(key);
-    return it == flags.end() ? fallback : it->second;
-  }
-  [[nodiscard]] bool Has(const std::string& key) const {
-    return flags.count(key) > 0;
-  }
-  /// The flag as a whole decimal number of unsigned range that fits T, or
-  /// `fallback` when the flag is absent; anything else throws InvalidFlag.
-  template <typename T>
-  [[nodiscard]] T GetUnsigned(const std::string& key, T fallback) const {
-    const auto it = flags.find(key);
-    if (it == flags.end()) return fallback;
-    const std::string& s = it->second;
-    std::uint64_t v = 0;
-    const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-    if (s.empty() || ec != std::errc() || end != s.data() + s.size() ||
-        v > static_cast<std::uint64_t>(std::numeric_limits<T>::max()))
-      throw InvalidFlag(key, s);
-    return static_cast<T>(v);
-  }
-  [[nodiscard]] std::uint64_t GetU64(const std::string& key,
-                                     std::uint64_t fallback) const {
-    return GetUnsigned<std::uint64_t>(key, fallback);
-  }
-  /// --threads: 0 (the default) means every hardware thread.
-  [[nodiscard]] int GetThreads() const {
-    return GetUnsigned<int>("threads", 0);
-  }
-  /// The flag as a whole finite decimal number, or `fallback` when absent;
-  /// anything else throws InvalidFlag.
-  [[nodiscard]] double GetDouble(const std::string& key,
-                                 double fallback) const {
-    const auto it = flags.find(key);
-    if (it == flags.end()) return fallback;
-    const std::string& s = it->second;
-    double v = 0;
-    const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-    if (s.empty() || ec != std::errc() || end != s.data() + s.size() ||
-        !std::isfinite(v))
-      throw InvalidFlag(key, s);
-    return v;
-  }
-};
+using cli::Args;
+using cli::InvalidFlag;
 
 /// Shared fault-flag parsing for `generate --faults` and fleet `simulate`.
 mcloud::fault::FaultConfig FaultsFrom(const Args& args) {
@@ -301,6 +243,16 @@ void PrintGenTimings(const workload::GenTimings& gt) {
 #endif
 }
 
+/// generate's closing lines; the fleet-determinism CI check diffs the
+/// fingerprint line across thread counts.
+int ReportWritten(const std::filesystem::path& out, std::size_t records,
+                  std::uint64_t fingerprint) {
+  std::fprintf(stderr, "wrote %zu records to %s\n", records, out.c_str());
+  std::fprintf(stderr, "trace fingerprint: %016llx\n",
+               static_cast<unsigned long long>(fingerprint));
+  return 0;
+}
+
 int CmdGenerate(const Args& args) {
   if (args.positional.size() != 1) return Usage();
   workload::WorkloadConfig cfg;
@@ -349,7 +301,8 @@ int CmdGenerate(const Args& args) {
     PrintGenTimings(gt);
     return 0;
   }
-  workload::Workload w;
+  const std::filesystem::path out = args.positional[0];
+  std::vector<LogRecord> trace;
   if (args.Has("faults")) {
     // Route the plans through the full storage service under fault
     // injection: the emitted trace is what the measurement pipeline would
@@ -359,29 +312,32 @@ int CmdGenerate(const Args& args) {
     svc.faults = FaultsFrom(args);
     if (!svc.faults.Any()) svc.faults.frontend_fail_rate = 0.01;
     if (args.Has("hedge")) svc.retry.hedge = true;
-    w = workload::WorkloadGenerator(cfg).GeneratePlansOnly();
+    const workload::Workload w =
+        workload::WorkloadGenerator(cfg).GeneratePlansOnly();
     cloud::StorageService service(svc);
     auto result = service.Execute(w.sessions);
     std::fputs(
         analysis::RenderAvailability(analysis::Availability(result)).c_str(),
         stderr);
-    w.trace = std::move(result.logs);
+    trace = std::move(result.logs);
   } else {
     workload::GenTimings gt;
-    w = workload::WorkloadGenerator(cfg).Generate(&gt);
+    const TraceStore store =
+        workload::WorkloadGenerator(cfg).GenerateColumnar(&gt).trace;
     PrintGenTimings(gt);
+    if (IsV2(out) && !args.Has("anonymize")) {
+      // A columnar file is written straight from the generated store.
+      WriteColumnarTrace(out, store);
+      return ReportWritten(out, store.rows(), TraceFingerprint(store));
+    }
+    trace = store.ToRecords();
   }
   if (args.Has("anonymize")) {
-    w.trace = Anonymizer(args.Get("anonymize")).Apply(w.trace);
+    trace = Anonymizer(args.Get("anonymize")).Apply(trace);
   }
-  WriteTrace(args.positional[0], w.trace);
-  std::fprintf(stderr, "wrote %zu records to %s\n", w.trace.size(),
-               args.positional[0].c_str());
-  // The fleet-determinism CI check diffs this line across thread counts.
-  std::fprintf(stderr, "trace fingerprint: %016llx\n",
-               static_cast<unsigned long long>(
-                   TraceFingerprint(std::span<const LogRecord>(w.trace))));
-  return 0;
+  WriteTrace(out, trace);
+  return ReportWritten(out, trace.size(),
+                       TraceFingerprint(std::span<const LogRecord>(trace)));
 }
 
 void PrintStageTimings(const core::StageTimings& st,
